@@ -55,38 +55,31 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     return Status::OK();
   };
 
-  std::vector<LazyBoundHeap::Entry> top;
+  const auto is_complete = [&](ObjectId u) {
+    return pool.Find(u)->IsComplete(m);
+  };
   while (true) {
-    heap.PopTopK(k, bound_fn, &top);
-    const Candidate* next_probe = nullptr;
-    for (const LazyBoundHeap::Entry& e : top) {
-      const Candidate* c = pool.Find(e.object);
-      if (!c->IsComplete(m)) {
-        next_probe = c;
-        break;
-      }
-    }
-    if (next_probe == nullptr) {
+    const std::optional<LazyBoundHeap::Entry> next_probe =
+        heap.PopUnsettled(k, bound_fn, is_complete);
+    if (!next_probe.has_value()) {
       out->entries.clear();
-      for (const LazyBoundHeap::Entry& e : top) {
+      for (const LazyBoundHeap::Entry& e : heap.settled()) {
         out->entries.push_back(TopKEntry{e.object, e.bound});
       }
-      heap.Reinsert(top);
       return Status::OK();
     }
     // Probe the next unevaluated predicate in global-schedule order.
-    Candidate* c = pool.Find(next_probe->id);
+    Candidate* c = pool.Find(next_probe->object);
     for (PredicateId i : order) {
       if (!c->IsEvaluated(i)) {
         if (BudgetBarred(*sources, i)) {
-          heap.Reinsert(top);
           return emit_certified(BudgetBarReason(sources, i));
         }
         c->SetScore(i, sources->RandomAccess(i, c->id));
         break;
       }
     }
-    heap.Reinsert(top);
+    heap.Restore();
   }
 }
 

@@ -67,31 +67,20 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   };
 
   PredicateId rr_sorted = 0;
-  std::vector<LazyBoundHeap::Entry> top;
+  const auto is_complete = [&](ObjectId u) {
+    return u != kUnseenObject && pool.Find(u)->IsComplete(m);
+  };
   while (true) {
-    heap.PopTopK(k, bound_fn, &top);
-    ObjectId target = kUnseenObject;
-    bool found = false;
-    for (const LazyBoundHeap::Entry& e : top) {
-      if (e.object == kUnseenObject) {
-        target = e.object;
-        found = true;
-        break;
-      }
-      if (!pool.Find(e.object)->IsComplete(m)) {
-        target = e.object;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    const std::optional<LazyBoundHeap::Entry> unsatisfied =
+        heap.PopUnsettled(k, bound_fn, is_complete);
+    if (!unsatisfied.has_value()) {
       out->entries.clear();
-      for (const LazyBoundHeap::Entry& e : top) {
+      for (const LazyBoundHeap::Entry& e : heap.settled()) {
         out->entries.push_back(TopKEntry{e.object, e.bound});
       }
-      heap.Reinsert(top);
       return Status::OK();
     }
+    const ObjectId target = unsatisfied->object;
 
     if (target == kUnseenObject) {
       // Discover a candidate: round-robin over the sorted-capable lists.
@@ -100,7 +89,6 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         rr_sorted = (rr_sorted + 1) % m;
         if (!sources->has_sorted(i) || sources->exhausted(i)) continue;
         if (BudgetBarred(*sources, i)) {
-          heap.Reinsert(top);
           return emit_certified(BudgetBarReason(sources, i));
         }
         const std::optional<SortedHit> hit = sources->SortedAccess(i);
@@ -132,12 +120,11 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       }
       NC_CHECK(best < m);
       if (BudgetBarred(*sources, best)) {
-        heap.Reinsert(top);
         return emit_certified(BudgetBarReason(sources, best));
       }
       c->SetScore(best, sources->RandomAccess(best, c->id));
     }
-    heap.Reinsert(top);
+    heap.Restore();
   }
 }
 

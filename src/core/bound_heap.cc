@@ -13,16 +13,29 @@ bool LazyBoundHeap::Before(const Entry& a, const Entry& b) {
   return RanksAbove(b.bound, b.object, a.bound, a.object);
 }
 
-void LazyBoundHeap::Push(ObjectId object, Score bound) {
-  heap_.push_back(Entry{bound, object});
+void LazyBoundHeap::HeapPush(const Entry& e) {
+  heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Before);
 }
 
-size_t LazyBoundHeap::PopTopK(size_t k, const BoundFn& bound_fn,
-                              std::vector<Entry>* out) {
-  NC_CHECK(out != nullptr);
-  out->clear();
-  while (out->size() < k && !heap_.empty()) {
+void LazyBoundHeap::Push(ObjectId object, Score bound) {
+  Restore();
+  if (num_settled_ > 0) {
+    const Entry& last = verified_[num_settled_ - 1];
+    if (RanksAbove(bound, object, last.bound, last.object)) {
+      // The newcomer would overtake a settled entry: hand the prefix back
+      // to the lazy order (its bounds are exact, so it re-verifies at
+      // once).
+      for (const Entry& e : verified_) HeapPush(e);
+      verified_.clear();
+      num_settled_ = 0;
+    }
+  }
+  HeapPush(Entry{bound, object});
+}
+
+bool LazyBoundHeap::VerifyNext(const BoundFn& bound_fn) {
+  while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), Before);
     Entry top = heap_.back();
     heap_.pop_back();
@@ -32,20 +45,47 @@ size_t LazyBoundHeap::PopTopK(size_t k, const BoundFn& bound_fn,
     if (*current < top.bound) {
       // Stale: refresh and keep searching.
       top.bound = *current;
-      heap_.push_back(top);
-      std::push_heap(heap_.begin(), heap_.end(), Before);
+      HeapPush(top);
       continue;
     }
-    out->push_back(top);
+    verified_.push_back(top);
+    return true;
   }
-  return out->size();
+  return false;
 }
 
-void LazyBoundHeap::Reinsert(std::span<const Entry> entries) {
-  for (const Entry& e : entries) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Before);
+std::optional<LazyBoundHeap::Entry> LazyBoundHeap::PopUnsettled(
+    size_t k, const BoundFn& bound_fn, const FinalFn& is_final) {
+  while (num_settled_ < k) {
+    if (num_settled_ == verified_.size() && !VerifyNext(bound_fn)) {
+      return std::nullopt;
+    }
+    const Entry& next = verified_[num_settled_];
+    if (!is_final(next.object)) return next;
+    ++num_settled_;
   }
+  return std::nullopt;
+}
+
+std::span<const LazyBoundHeap::Entry> LazyBoundHeap::Verified(
+    size_t count, const BoundFn& bound_fn) {
+  while (verified_.size() < count && VerifyNext(bound_fn)) {
+  }
+  return std::span<const Entry>(verified_).first(
+      std::min(count, verified_.size()));
+}
+
+void LazyBoundHeap::Restore() {
+  for (size_t i = num_settled_; i < verified_.size(); ++i) {
+    HeapPush(verified_[i]);
+  }
+  verified_.resize(num_settled_);
+}
+
+std::vector<LazyBoundHeap::Entry> LazyBoundHeap::entries() const {
+  std::vector<Entry> all = verified_;
+  all.insert(all.end(), heap_.begin(), heap_.end());
+  return all;
 }
 
 }  // namespace nc

@@ -130,18 +130,18 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
   // Certified anytime answer: the current top-k by maximal-possible
   // score, each entry carrying its proven [lower, upper] interval, plus
   // the epsilon those intervals imply against everything excluded.
-  // Popping k+1 entries verifies one bound past the answer; since pops
-  // come in verified rank order, that extra bound dominates every entry
-  // still in the heap, so the excluded ceiling is sound without a
-  // global rescan. (The sentinel stands for no concrete object; it is
+  // Verifying k+1 entries (the settled prefix first) reaches one bound
+  // past the answer; since verification runs in rank order, that extra
+  // bound dominates every entry still in the heap, so the excluded
+  // ceiling is sound without a global rescan. (The sentinel stands for no concrete object; it is
   // folded into the excluded ceiling, not returned.)
   const auto bound_fn = [this](ObjectId u) { return CurrentBound(u); };
-  heap_.PopTopK(options_.k + 1, bound_fn, &topk_scratch_);
   out->entries.clear();
   AnytimeCertificate cert;
   cert.reason = reason;
   Score min_lower = kMaxScore;
-  for (const LazyBoundHeap::Entry& e : topk_scratch_) {
+  for (const LazyBoundHeap::Entry& e :
+       heap_.Verified(options_.k + 1, bound_fn)) {
     if (e.object == kUnseenObject || out->entries.size() == options_.k) {
       cert.excluded_ceiling = std::max(cert.excluded_ceiling, e.bound);
       continue;
@@ -153,7 +153,7 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
     cert.intervals.push_back(ScoreInterval{lower, e.bound});
     min_lower = std::min(min_lower, lower);
   }
-  heap_.Reinsert(topk_scratch_);
+  heap_.Restore();
   if (out->entries.empty()) min_lower = kMinScore;
   cert.epsilon = CertifiedEpsilon(min_lower, cert.excluded_ceiling);
   if (obs::ShouldTrace(options_.tracer)) {
@@ -424,6 +424,9 @@ Status NCEngine::Loop(TopKResult* out) {
   const size_t m = sources_->num_predicates();
   const size_t n = sources_->num_objects();
   const auto bound_fn = [this](ObjectId u) { return CurrentBound(u); };
+  const auto is_final = [this, m](ObjectId u) {
+    return u != kUnseenObject && pool_.Find(u)->IsComplete(m);
+  };
   // Every useful execution performs at most n sorted and n random accesses
   // per predicate; anything beyond signals an engine/policy bug.
   const size_t runaway_guard = 2 * n * m + options_.k + 64;
@@ -444,49 +447,42 @@ Status NCEngine::Loop(TopKResult* out) {
                                          {{"algorithm", "NC"}});
 
   while (true) {
-    {
-      NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
-      heap_.PopTopK(options_.k, bound_fn, &topk_scratch_);
-    }
-    const double kth_bound =
-        topk_scratch_.empty() ? 0.0 : topk_scratch_.back().bound;
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
-    ObjectId target = kUnseenObject;
-    bool found_incomplete = false;
-    for (const LazyBoundHeap::Entry& e : topk_scratch_) {
-      if (e.object == kUnseenObject) {
-        target = e.object;
-        found_incomplete = true;
-        break;
-      }
-      const Candidate* c = pool_.Find(e.object);
-      NC_CHECK(c != nullptr);
-      if (!c->IsComplete(m)) {
-        target = e.object;
-        found_incomplete = true;
-        break;
-      }
+    // Complete members ahead of it stay settled across iterations.
+    std::optional<LazyBoundHeap::Entry> unsatisfied;
+    {
+      NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
+      unsatisfied = heap_.PopUnsettled(options_.k, bound_fn, is_final);
     }
-    if (!found_incomplete) {
-      out->entries.reserve(topk_scratch_.size());
-      for (const LazyBoundHeap::Entry& e : topk_scratch_) {
-        // A complete entry's verified bound is its exact score.
+    if (!unsatisfied.has_value()) {
+      out->entries.reserve(heap_.settled().size());
+      for (const LazyBoundHeap::Entry& e : heap_.settled()) {
+        // A settled entry's verified bound is its exact score.
         out->entries.push_back(TopKEntry{e.object, e.bound});
       }
-      heap_.Reinsert(topk_scratch_);
       last_run_exact_ = true;
       return Status::OK();
     }
+    const ObjectId target = unsatisfied->object;
+
+    // The theta test and the trace look at the whole verified top-k.
+    const bool theta_ready =
+        complete_topk_.has_value() && complete_topk_->full();
+    std::span<const LazyBoundHeap::Entry> topk;
+    if (theta_ready || tracing) {
+      NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
+      topk = heap_.Verified(options_.k, bound_fn);
+    }
+    const double kth_bound = topk.empty() ? 0.0 : topk.back().bound;
 
     // Theta-halting: k complete objects whose k-th exact score, inflated
     // by theta, dominates every non-member's maximal-possible score. Any
-    // object outside the popped top-k is bounded by a popped non-member's
-    // bound (or every popped entry is a complete member, which is the
-    // exact-termination case handled above).
-    if (complete_topk_.has_value() && complete_topk_->full()) {
+    // object outside the verified top-k is bounded by a verified
+    // non-member's bound (the top-k holds the incomplete target).
+    if (theta_ready) {
       double max_nonmember = -1.0;
-      for (const LazyBoundHeap::Entry& e : topk_scratch_) {
+      for (const LazyBoundHeap::Entry& e : topk) {
         if (e.object == kUnseenObject || !complete_topk_->Contains(e.object)) {
           max_nonmember = std::max(max_nonmember, e.bound);
         }
@@ -497,9 +493,9 @@ Status NCEngine::Loop(TopKResult* out) {
         *out = complete_topk_->Take();
         // Theta answers are complete, but still carry their proof: the
         // returned scores are exact (degenerate intervals) and every
-        // excluded object is bounded by max_nonmember - a popped
-        // non-member's bound dominates all unpopped entries because pops
-        // come in rank order. The halting test then caps epsilon at
+        // excluded object is bounded by max_nonmember - a verified
+        // non-member's bound dominates all the rest because verification
+        // proceeds in rank order. The halting test then caps epsilon at
         // theta - 1.
         AnytimeCertificate cert;
         cert.reason = TerminationReason::kTheta;
@@ -517,7 +513,7 @@ Status NCEngine::Loop(TopKResult* out) {
               cert.excluded_ceiling, sources_->accrued_cost());
         }
         out->certificate = std::move(cert);
-        heap_.Reinsert(topk_scratch_);
+        heap_.Restore();
         last_run_exact_ = false;
         return Status::OK();
       }
@@ -526,8 +522,9 @@ Status NCEngine::Loop(TopKResult* out) {
     // Budget exhaustion certifies the current answer instead of failing.
     // The exact- and theta-termination tests above run first, so a query
     // whose answer is already proven keeps it even at the budget edge.
+    // No bound has moved since the pop, so the certificate extends the
+    // verified prefix as it stands.
     if (sources_->budget_exhausted()) {
-      heap_.Reinsert(topk_scratch_);
       EmitCertified(sources_->cost_budget_exhausted()
                         ? TerminationReason::kCostBudget
                         : TerminationReason::kDeadline,
@@ -537,7 +534,6 @@ Status NCEngine::Loop(TopKResult* out) {
 
     BuildAlternatives(target);
     if (alternatives_.empty()) {
-      heap_.Reinsert(topk_scratch_);
       if (skipped_quota_) {
         // Every remaining choice for the task needs a quota-spent
         // predicate: the per-predicate budget, not the scenario, is what
@@ -573,7 +569,7 @@ Status NCEngine::Loop(TopKResult* out) {
     const Status performed = Perform(access);
     {
       NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
-      heap_.Reinsert(topk_scratch_);
+      heap_.Restore();
     }
     if (performed.code() == StatusCode::kResourceExhausted) {
       // The access layer refused to start the access: the budget or a

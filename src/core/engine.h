@@ -204,6 +204,10 @@ class NCEngine {
   // Total accesses performed across Run and any Extends.
   size_t accesses_performed() const { return accesses_; }
 
+  // Top-k members already proven final and settled out of the lazy
+  // heap (core/bound_heap.h); checkpoints still carry them.
+  size_t settled_entries() const { return heap_.settled().size(); }
+
   // False iff the last Run/Extend returned an approximate answer: a
   // best-effort (budget-capped or degraded) one, or a theta-approximate
   // one.
@@ -270,7 +274,6 @@ class NCEngine {
   std::optional<TopKCollector> complete_topk_;
   std::vector<Score> ceilings_;
   std::vector<Access> alternatives_;
-  std::vector<LazyBoundHeap::Entry> topk_scratch_;
   size_t accesses_ = 0;
   // Accesses performed in the current Run/Extend phase; the max_accesses
   // budget is charged against this, not the cumulative count.

@@ -1,7 +1,5 @@
 #include "core/estimator.h"
 
-#include <cstdio>
-
 #include "access/source.h"
 #include "common/check.h"
 #include "core/engine.h"
@@ -11,18 +9,17 @@ namespace nc {
 
 namespace {
 
+// The memo key: the exact bits of every depth, then the schedule, behind
+// a depth count so malformed configs cannot alias well-formed ones.
+// Optimizers visit exact mesh values, so bit equality is config equality.
 std::string ConfigKey(const SRGConfig& config) {
   std::string key;
-  char buffer[32];
-  for (double h : config.depths) {
-    std::snprintf(buffer, sizeof(buffer), "%.12g|", h);
-    key += buffer;
-  }
-  key += "#";
-  for (PredicateId p : config.schedule) {
-    key += std::to_string(p);
-    key += ",";
-  }
+  const auto append = [&key](const auto& value) {
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(config.depths.size());
+  for (const double h : config.depths) append(h);
+  for (const PredicateId p : config.schedule) append(p);
   return key;
 }
 

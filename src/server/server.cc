@@ -302,7 +302,6 @@ void QueryServer::Shutdown(bool finish_queued) {
     const std::lock_guard<std::mutex> lock(mu_);
     leftovers.swap(queue_);
     running_ = false;
-    stopping_ = false;
   }
   draining_.store(false, std::memory_order_release);
   // Fulfilled outside the lock: promise continuations must not run
@@ -324,6 +323,10 @@ void QueryServer::Shutdown(bool finish_queued) {
     }
   }
   stats_server_.Stop();
+  // Cleared only once the endpoint is down: until then /readyz must keep
+  // answering "draining", not "not accepting".
+  const std::lock_guard<std::mutex> lock(mu_);
+  stopping_ = false;
 }
 
 bool QueryServer::running() const {

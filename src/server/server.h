@@ -408,7 +408,8 @@ class QueryServer {
   std::deque<Pending> queue_;
   bool running_ = false;    // Start succeeded, Shutdown not yet finished.
   bool accepting_ = false;  // Submit admits new queries.
-  bool stopping_ = false;   // Workers should exit when out of work.
+  bool stopping_ = false;   // Workers should exit when out of work;
+                            // held until Shutdown returns.
   bool finish_queued_ = true;
   size_t peak_queue_depth_ = 0;
 

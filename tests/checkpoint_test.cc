@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <string>
 #include <vector>
@@ -162,6 +164,65 @@ TEST(CheckpointTest, KillAtEveryAccessResumesLosslessly) {
     ExpectLosslessResume(data, avg, 3, parsed, expected,
                          /*injector=*/nullptr, /*theta=*/1.0,
                          "kill " + std::to_string(kill));
+  }
+}
+
+// Complete top-k members settle out of the lazy heap mid-run, but a
+// checkpoint must still carry them. Snapshot at every access of runs
+// that settle early (k = 8, continuous and 1/16-quantized scores so tied
+// discoveries un-settle the prefix too); every snapshot taken with a
+// non-empty settled prefix must round-trip through the text format and
+// resume to the uninterrupted answer, cost and access sequence.
+TEST(CheckpointTest, CheckpointsWithASettledPrefixResumeLosslessly) {
+  for (const bool quantized : {false, true}) {
+    Dataset data = MakeData(38, 80, 3);
+    if (quantized) {
+      for (ObjectId u = 0; u < data.num_objects(); ++u) {
+        for (PredicateId i = 0; i < 3; ++i) {
+          data.SetScore(u, i, std::floor(data.score(u, i) * 16.0) / 16.0);
+        }
+      }
+    }
+    AverageFunction avg(3);
+    const size_t k = 8;
+    const RunOutcome expected =
+        RunWithKill(data, avg, k, /*kill=*/0, /*injector=*/nullptr);
+
+    std::vector<std::string> texts;
+    {
+      SourceSet sources(&data, CostModel::Uniform(3, 1.0, 1.0));
+      sources.EnableTrace();
+      SRGPolicy policy(SRGConfig::Default(3));
+      EngineOptions options;
+      options.k = k;
+      NCEngine* engine_ptr = nullptr;
+      options.access_callback = [&](size_t) {
+        if (engine_ptr->settled_entries() == 0) return;
+        const EngineCheckpoint ck = engine_ptr->Checkpoint();
+        // Every candidate, settled or not, keeps its one heap entry.
+        const size_t seen = static_cast<size_t>(std::count_if(
+            ck.heap.begin(), ck.heap.end(),
+            [](const auto& e) { return e.object != kUnseenObject; }));
+        EXPECT_EQ(seen, ck.pool.size());
+        texts.push_back(SerializeCheckpoint(ck));
+      };
+      NCEngine engine(&sources, &avg, &policy, options);
+      engine_ptr = &engine;
+      TopKResult result;
+      ASSERT_TRUE(engine.Run(&result).ok());
+      EXPECT_EQ(engine.settled_entries(), k);
+    }
+    ASSERT_GT(texts.size(), 5u) << "quantized " << quantized;
+
+    for (size_t i = 0; i < texts.size(); ++i) {
+      const std::string label = "quantized " + std::to_string(quantized) +
+                                " snapshot " + std::to_string(i);
+      EngineCheckpoint parsed;
+      ASSERT_TRUE(ParseCheckpoint(texts[i], &parsed).ok()) << label;
+      EXPECT_EQ(SerializeCheckpoint(parsed), texts[i]) << label;
+      ExpectLosslessResume(data, avg, k, parsed, expected,
+                           /*injector=*/nullptr, /*theta=*/1.0, label);
+    }
   }
 }
 
