@@ -1,6 +1,7 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "common/check.h"
@@ -9,6 +10,24 @@
 #include "data/sampling.h"
 
 namespace nc {
+
+namespace {
+
+// Keys hold exact bits, as the estimator's memo key does: a decimal
+// rendering would let nearby costs share a plan.
+template <typename T>
+void AppendBits(std::string* key, const T& value) {
+  key->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Length-prefixed, so vectors of different sizes never alias.
+template <typename T>
+void AppendBits(std::string* key, const std::vector<T>& values) {
+  AppendBits(key, values.size());
+  for (const T& value : values) AppendBits(key, value);
+}
+
+}  // namespace
 
 const char* SearchSchemeName(SearchScheme scheme) {
   switch (scheme) {
@@ -29,19 +48,54 @@ CostBasedPlanner::CostBasedPlanner(const ScoringFunction* scoring,
   NC_CHECK(options_.sample_size > 0);
 }
 
-Status CostBasedPlanner::Plan(const SourceSet& sources, size_t k,
-                              OptimizerResult* out) {
-  NC_CHECK(out != nullptr);
+Status CostBasedPlanner::ValidateQuery(const SourceSet& sources,
+                                       size_t k) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (scoring_->arity() != sources.num_predicates()) {
     return Status::InvalidArgument(
         "scoring function arity does not match predicate count");
   }
+  return Status::OK();
+}
 
+bool CostBasedPlanner::SamplesFromData(const SourceSet& sources) const {
   // Provider-backed sources have no in-memory Dataset to draw from: fall
   // back to the paper's dummy-uniform estimation mode.
-  const bool from_data =
-      options_.sample_mode == SampleMode::kFromData && sources.has_dataset();
+  return options_.sample_mode == SampleMode::kFromData &&
+         sources.has_dataset();
+}
+
+size_t CostBasedPlanner::SampleObjects(const SourceSet& sources) const {
+  return SamplesFromData(sources)
+             ? std::min(options_.sample_size, sources.num_objects())
+             : options_.sample_size;
+}
+
+Status CostBasedPlanner::PlanKey(const SourceSet& sources, size_t k,
+                                 std::string* key) const {
+  NC_CHECK(key != nullptr);
+  NC_RETURN_IF_ERROR(ValidateQuery(sources, k));
+  const CostModel& cost = sources.cost_model();
+  key->clear();
+  AppendBits(key, ScaledSampleK(k, sources.num_objects(),
+                                SampleObjects(sources)));
+  AppendBits(key, sources.num_objects());
+  AppendBits(key, SamplesFromData(sources)
+                      ? reinterpret_cast<std::uintptr_t>(&sources.dataset())
+                      : std::uintptr_t{0});
+  AppendBits(key, cost.sorted_cost);
+  AppendBits(key, cost.random_cost);
+  AppendBits(key, cost.sorted_page_size);
+  AppendBits(key, cost.attribute_groups);
+  return Status::OK();
+}
+
+Status CostBasedPlanner::Plan(const SourceSet& sources, size_t k,
+                              OptimizerResult* out) {
+  NC_CHECK(out != nullptr);
+  NC_RETURN_IF_ERROR(ValidateQuery(sources, k));
+
+  const bool from_data = SamplesFromData(sources);
   const size_t replicas = std::max<size_t>(1, options_.sample_replicas);
   std::vector<Dataset> samples;
   samples.reserve(replicas);
@@ -53,6 +107,8 @@ Status CostBasedPlanner::Plan(const SourceSet& sources, size_t k,
             : DummyUniformSample(sources.num_predicates(),
                                  options_.sample_size, seed));
   }
+  // k' must scale by the same sample size PlanKey assumes.
+  NC_CHECK(samples[0].num_objects() == SampleObjects(sources));
   const size_t k_prime =
       ScaledSampleK(k, sources.num_objects(), samples[0].num_objects());
 

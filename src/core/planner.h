@@ -9,6 +9,7 @@
 #define NC_CORE_PLANNER_H_
 
 #include <cstdint>
+#include <string>
 
 #include "access/source.h"
 #include "common/status.h"
@@ -65,7 +66,26 @@ class CostBasedPlanner {
   // the optimization overhead in simulations.
   Status Plan(const SourceSet& sources, size_t k, OptimizerResult* out);
 
+  // The plan-cache key of the same query: everything Plan reads besides
+  // this planner's own scoring function and options. That is the
+  // sample-scaled retrieval size k' = ceil(k s / n), with s the effective
+  // sample size (min(s, n) for data samples); n; the address of the
+  // Dataset the samples are drawn from (none for dummy-uniform samples),
+  // so a Dataset must not be edited in place while plans for it are
+  // cached; and the exact bits of the cost model's unit costs, page
+  // sizes and attribute groups. Plan never sees k except through k', so
+  // equal keys mean bit-identical plans. Refuses an invalid query exactly
+  // as Plan does, so a caller that validates through the key never
+  // serves one from a cache.
+  Status PlanKey(const SourceSet& sources, size_t k, std::string* key) const;
+
  private:
+  Status ValidateQuery(const SourceSet& sources, size_t k) const;
+  // True when Plan draws its samples from the sources' Dataset.
+  bool SamplesFromData(const SourceSet& sources) const;
+  // Objects per sample: what k' scales k by.
+  size_t SampleObjects(const SourceSet& sources) const;
+
   const ScoringFunction* scoring_;
   PlannerOptions options_;
 };

@@ -24,28 +24,33 @@ const char* QueryOutcomeName(QueryOutcome outcome) {
   return "unknown";
 }
 
-QuerySession::QuerySession(const ScoringFunction* scoring,
-                           PlannerOptions options,
-                           obs::TelemetryHub* shared_hub)
-    : scoring_(scoring),
-      options_(options),
-      active_hub_(shared_hub != nullptr ? shared_hub : &hub_) {
-  NC_CHECK(scoring_ != nullptr);
+bool PlanCache::Lookup(const std::string& key, OptimizerResult* out) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = plans_.find(key);
+  if (it == plans_.end()) return false;
+  *out = it->second;
+  return true;
 }
 
-std::string QuerySession::PlanKey(const CostModel& model, size_t k) {
-  std::string key = "k=" + std::to_string(k) + "|" + model.ToString();
-  key += "|pages=";
-  for (size_t b : model.sorted_page_size) {
-    key += std::to_string(b);
-    key += ",";
-  }
-  key += "|groups=";
-  for (int g : model.attribute_groups) {
-    key += std::to_string(g);
-    key += ",";
-  }
-  return key;
+void PlanCache::Insert(const std::string& key, const OptimizerResult& plan) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  plans_.try_emplace(key, plan);
+}
+
+size_t PlanCache::size() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return plans_.size();
+}
+
+QuerySession::QuerySession(const ScoringFunction* scoring,
+                           PlannerOptions options,
+                           obs::TelemetryHub* shared_hub,
+                           PlanCache* shared_plans)
+    : scoring_(scoring),
+      planner_(scoring, options),
+      active_plans_(shared_plans != nullptr ? shared_plans : &plans_),
+      active_hub_(shared_hub != nullptr ? shared_hub : &hub_) {
+  NC_CHECK(scoring_ != nullptr);
 }
 
 Status QuerySession::Query(SourceSet* sources, size_t k, TopKResult* out) {
@@ -69,20 +74,22 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
   // Same contract for a session-attached profiler: attached before
   // planning so optimizer simulations bill to the query it plans for.
   if (profiler_ != nullptr) sources->set_profiler(profiler_);
-  const std::string key = PlanKey(sources->cost_model(), k);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    CostBasedPlanner planner(scoring_, options_);
-    OptimizerResult plan;
-    NC_RETURN_IF_ERROR(planner.Plan(*sources, k, &plan));
-    ++plans_computed_;
-    it = cache_.emplace(key, std::move(plan)).first;
-  } else {
+  // The key validates the query first, so an invalid one is refused
+  // whether or not a plan for its k' is cached. A miss plans outside the
+  // cache's lock.
+  std::string key;
+  NC_RETURN_IF_ERROR(planner_.PlanKey(*sources, k, &key));
+  if (active_plans_->Lookup(key, &last_plan_)) {
     ++cache_hits_;
+  } else {
+    OptimizerResult plan;
+    NC_RETURN_IF_ERROR(planner_.Plan(*sources, k, &plan));
+    ++plans_computed_;
+    active_plans_->Insert(key, plan);
+    last_plan_ = std::move(plan);
   }
-  last_plan_ = it->second;
 
-  SRGPolicy policy(it->second.config);
+  SRGPolicy policy(last_plan_.config);
   EngineOptions engine_options;
   engine_options.k = k;
   if (tracer_ != nullptr) engine_options.tracer = tracer_;
@@ -110,7 +117,7 @@ Status QuerySession::Query(SourceSet* sources, size_t k,
 
   // The cost audit: the plan's full-scale Eq. 1 prediction against the
   // metered actuals of the run just finished (before any caller Reset).
-  last_cost_audit_ = obs::BuildCostAudit(it->second.prediction, *sources);
+  last_cost_audit_ = obs::BuildCostAudit(last_plan_.prediction, *sources);
   if (last_cost_audit_.valid && obs::ShouldSample(active_hub_)) {
     for (PredicateId i = 0; i < last_cost_audit_.predicates.size(); ++i) {
       const obs::PredicateAudit& row = last_cost_audit_.predicates[i];

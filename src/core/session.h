@@ -2,10 +2,13 @@
 //
 // Optimization overhead is tiny per query (a few dozen sample
 // simulations) but a busy middleware answers the same query shape
-// thousands of times. QuerySession memoizes the planner's output keyed by
-// (k, cost-model signature): repeated queries reuse the cached SR/G plan;
-// a drifted cost model (the signature includes unit costs, page sizes,
-// and attribute groups) or a new k re-plans automatically.
+// thousands of times. QuerySession memoizes the planner's output in a
+// PlanCache keyed by CostBasedPlanner::PlanKey: the sample-scaled k' =
+// ceil(k s / n), n, the sample source, and the exact cost-model bits.
+// Every k sharing a k' reuses one SR/G plan (the planner never sees k
+// itself); a drifted cost model (unit costs, page sizes, attribute
+// groups) or a new k' re-plans automatically. The query server hands
+// all of its workers' sessions one shared PlanCache.
 //
 // The session also owns the TelemetryHub: each Query attaches it to the
 // sources (and warms any replica fleet from the health snapshot captured
@@ -19,6 +22,7 @@
 #define NC_CORE_SESSION_H_
 
 #include <functional>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -61,16 +65,41 @@ struct QueryHooks {
   std::function<void(NCEngine& engine, size_t accesses)> on_access;
 };
 
+// Plans keyed by CostBasedPlanner::PlanKey, safe to share between
+// threads. A key does not name the planner itself, so every session
+// sharing one cache must plan with the same scoring function and
+// PlannerOptions (a query server's workers all do).
+class PlanCache {
+ public:
+  // Copies the plan cached under `key` into *out; false, leaving *out
+  // untouched, on a miss.
+  bool Lookup(const std::string& key, OptimizerResult* out) const;
+
+  // Caches `plan` under `key` unless the key is already present. Two
+  // sessions that miss the same key at once both plan; their plans are
+  // bit-identical, so the first insert stands.
+  void Insert(const std::string& key, const OptimizerResult& plan);
+
+  size_t size() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, OptimizerResult> plans_;  // Guarded by mu_.
+};
+
 class QuerySession {
  public:
   // `scoring` must outlive the session. With `shared_hub` set, the
   // session feeds and warms that hub instead of its own - the query
   // server hands every worker's session one server-wide hub so breaker
   // state, deaths, and latency sketches are shared across workers (the
-  // hub is internally synchronized; see obs/telemetry.h). The shared hub
-  // must outlive the session.
+  // hub is internally synchronized; see obs/telemetry.h). `shared_plans`
+  // works the same way for the plan cache: the server hands every
+  // worker's session one cache per server run. Either must outlive the
+  // session.
   QuerySession(const ScoringFunction* scoring, PlannerOptions options,
-               obs::TelemetryHub* shared_hub = nullptr);
+               obs::TelemetryHub* shared_hub = nullptr,
+               PlanCache* shared_plans = nullptr);
 
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
@@ -83,7 +112,8 @@ class QuerySession {
   Status Query(SourceSet* sources, size_t k, const QueryHooks& hooks,
                TopKResult* out);
 
-  // Number of planner invocations and of queries served from the cache.
+  // Number of this session's planner invocations and of its queries
+  // served from the plan cache (possibly a plan another session made).
   size_t plans_computed() const { return plans_computed_; }
   size_t cache_hits() const { return cache_hits_; }
 
@@ -144,11 +174,12 @@ class QuerySession {
   }
 
  private:
-  static std::string PlanKey(const CostModel& model, size_t k);
-
   const ScoringFunction* scoring_;
-  PlannerOptions options_;
-  std::unordered_map<std::string, OptimizerResult> cache_;
+  CostBasedPlanner planner_;
+  PlanCache plans_;
+  // Either &plans_ (the default) or the shared cache the session was
+  // constructed with.
+  PlanCache* active_plans_ = nullptr;
   OptimizerResult last_plan_;
   obs::TelemetryHub hub_;
   // Either &hub_ (the default) or the shared hub the session was

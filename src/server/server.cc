@@ -235,6 +235,9 @@ Status QueryServer::Start() {
     }
   }
 
+  // Every run plans from empty: a cached plan never outlives the worker
+  // stacks it was planned for.
+  plan_cache_ = std::make_unique<PlanCache>();
   workers_.reserve(config_.num_workers);
   for (size_t i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerMain(i); });
@@ -297,6 +300,7 @@ void QueryServer::Shutdown(bool finish_queued) {
   cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
+  plan_cache_.reset();
   std::deque<Pending> leftovers;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -359,7 +363,7 @@ QueryResponse QueryServer::Rejected(Status status) {
 void QueryServer::WorkerMain(size_t index) {
   // Built on this thread, used only by this thread, destroyed on this
   // thread: the whole mutable access stack is confined here. Only the
-  // shared hub (handed to the session) crosses threads.
+  // shared hub and plan cache (handed to the session) cross threads.
   std::unique_ptr<WorkerStack> stack = factory_(index);
   NC_CHECK(stack != nullptr);
   // The ONE exception to confinement on the access path: the shared
@@ -374,7 +378,7 @@ void QueryServer::WorkerMain(size_t index) {
   // and the stack runs untraced, paying only the ShouldTrace test.
   obs::QueryTracer tracer;
   tracer.set_epoch_ns(epoch_ns_.load(std::memory_order_acquire));
-  QuerySession session(scoring_, config_.planner, &hub_);
+  QuerySession session(scoring_, config_.planner, &hub_, plan_cache_.get());
   if (config_.trace_sink != nullptr) {
     tracer.set_streaming_sink(config_.trace_sink);
     session.set_tracer(&tracer);
@@ -477,6 +481,8 @@ void QueryServer::Serve(size_t index, QuerySession& session,
   // it, the server resets it here and reads it back after the run.
   if (profiler != nullptr) profiler->Clear();
 
+  const size_t planned_before = session.plans_computed();
+  const size_t cached_before = session.cache_hits();
   const auto start = std::chrono::steady_clock::now();
   response.status = session.Query(&sources, pending.request.k, hooks,
                                   &response.result);
@@ -514,6 +520,14 @@ void QueryServer::Serve(size_t index, QuerySession& session,
       .counter("nc_server_queries_total",
                {{"outcome", ServeOutcomeName(response.outcome)}})
       .Increment();
+  // Where the plan came from; a query refused before planning has none.
+  if (session.plans_computed() != planned_before) {
+    metrics_.counter("nc_server_plans_total", {{"source", "planned"}})
+        .Increment();
+  } else if (session.cache_hits() != cached_before) {
+    metrics_.counter("nc_server_plans_total", {{"source", "cached"}})
+        .Increment();
+  }
   metrics_.histogram("nc_server_queue_wait_us", LatencyBucketsUs())
       .Observe(static_cast<double>(start_us - pending.admit_us));
   metrics_.histogram("nc_server_service_us", LatencyBucketsUs())

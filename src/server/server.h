@@ -17,6 +17,9 @@
 //     sketches, cost EWMAs, and fleet health (deaths, breakers, routing
 //     EWMAs) flow between workers through the hub's capture/warm cycle,
 //     so worker 3 routes around the replica worker 1 found dead.
+//   * Plans are shared the same way, through one PlanCache per server
+//     run: a lookup copies the plan out under a mutex, once per query,
+//     never per access.
 //   * Per-query isolation is the QueryBudget: each request carries its
 //     own caps, applied to the worker's sources for exactly that query.
 //
@@ -101,9 +104,10 @@ struct ServerConfig {
   // refuses with kResourceExhausted when the backlog is full. >= 1.
   size_t queue_capacity = 64;
 
-  // Planner options for every worker's QuerySession. Plan caches are
-  // per-worker (cache hits need no locking); only the telemetry hub is
-  // server-wide.
+  // Planner options for every worker's QuerySession. The workers share
+  // one PlanCache per server run (core/session.h): a plan made by one
+  // worker serves every worker's queries with the same planner key.
+  // Start() creates it empty and Shutdown() drops it.
   PlannerOptions planner;
 
   // Simulated network stall per performed access, in wall-clock
@@ -370,6 +374,9 @@ class QueryServer {
   // at the first Start() - before the stats endpoint comes up, so /varz
   // never races the assignment - and never replaced thereafter.
   std::unique_ptr<cache::AccessCache> cache_;
+  // The workers' shared plan cache for one server run: created by Start
+  // before any worker exists, dropped by Shutdown after all are joined.
+  std::unique_ptr<PlanCache> plan_cache_;
   bool warm_started_ = false;  // Guarded by mu_.
 
   // Shared monotonic anchor handed to every worker's tracer, so wall_us

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "access/score_provider.h"
 #include "core/reference.h"
 #include "core/srg_policy.h"
 #include "data/generator.h"
+#include "data/sampling.h"
 
 namespace nc {
 namespace {
@@ -223,6 +231,178 @@ TEST(PlannerTest, JointScheduleSearchRejectsLargeM) {
   OptimizerResult plan;
   EXPECT_EQ(planner.Plan(sources, 3, &plan).code(),
             StatusCode::kInvalidArgument);
+}
+
+// Every field of a plan, as raw bytes: equal strings mean bit-identical
+// plans, down to the sign of a zero.
+std::string PlanBytes(const OptimizerResult& plan) {
+  std::string bytes;
+  const auto append = [&bytes](const auto& value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const auto append_all = [&](const auto& values) {
+    append(values.size());
+    for (const auto& value : values) append(value);
+  };
+  append_all(plan.config.depths);
+  append_all(plan.config.schedule);
+  append(plan.estimated_cost);
+  append(plan.simulations);
+  append(plan.prediction.valid);
+  append_all(plan.prediction.sorted_accesses);
+  append_all(plan.prediction.random_accesses);
+  append_all(plan.prediction.cost);
+  append(plan.prediction.total_cost);
+  return bytes;
+}
+
+std::string KeyOf(const CostBasedPlanner& planner, const SourceSet& sources,
+                  size_t k) {
+  std::string key;
+  NC_CHECK(planner.PlanKey(sources, k, &key).ok());
+  return key;
+}
+
+// The invariant a plan cache rests on: Plan sees k only through the
+// sample-scaled k' = ceil(k s / n), so every k sharing a k' gets the same
+// plan bit for bit, and PlanKey tells k' values apart exactly.
+TEST(PlannerTest, KeysEqualExactlyWhenScaledKDoesAndPlansMatch) {
+  struct Case {
+    const char* name;
+    size_t n;
+    SampleMode mode = SampleMode::kFromData;
+    bool provider = false;
+    size_t replicas = 3;
+    bool joint = false;
+    bool min = false;
+  };
+  const std::vector<Case> cases = {
+      {"data", 400},
+      {"dummy", 400, SampleMode::kDummyUniform},
+      {"provider", 400, SampleMode::kFromData, /*provider=*/true},
+      {"n_below_s", 60},
+      {"dummy_n_below_s", 60, SampleMode::kDummyUniform},
+      {"one_replica", 400, SampleMode::kFromData, false, /*replicas=*/1},
+      {"joint", 400, SampleMode::kFromData, false, 1, /*joint=*/true},
+      {"min", 400, SampleMode::kFromData, false, 3, false, /*min=*/true},
+      {"min_dummy_joint", 400, SampleMode::kDummyUniform, false, 1, true,
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Dataset data = MakeData(20, c.n, 3);
+    DatasetScoreProvider provider(&data);
+    const CostModel cost({1.0, 2.0, 1.0}, {3.0, 1.0, 0.5});
+    const std::unique_ptr<SourceSet> sources =
+        c.provider ? std::make_unique<SourceSet>(&provider, cost)
+                   : std::make_unique<SourceSet>(&data, cost);
+    const std::unique_ptr<ScoringFunction> scoring =
+        c.min ? std::unique_ptr<ScoringFunction>(new MinFunction(3))
+              : std::unique_ptr<ScoringFunction>(new AverageFunction(3));
+    PlannerOptions options;
+    options.sample_size = 100;
+    options.sample_mode = c.mode;
+    options.sample_replicas = c.replicas;
+    options.joint_schedule_search = c.joint;
+    CostBasedPlanner planner(scoring.get(), options);
+    const bool from_data = c.mode == SampleMode::kFromData && !c.provider;
+    const size_t s = from_data ? std::min<size_t>(100, c.n) : 100;
+
+    std::vector<size_t> k_primes;
+    std::vector<std::string> keys;
+    std::vector<std::string> plans;
+    for (size_t k = 1; k <= 8; ++k) {
+      k_primes.push_back(ScaledSampleK(k, c.n, s));
+      keys.push_back(KeyOf(planner, *sources, k));
+      OptimizerResult plan;
+      ASSERT_TRUE(planner.Plan(*sources, k, &plan).ok()) << "k=" << k;
+      plans.push_back(PlanBytes(plan));
+    }
+    size_t shared = 0;
+    for (size_t a = 0; a < keys.size(); ++a) {
+      for (size_t b = a + 1; b < keys.size(); ++b) {
+        EXPECT_EQ(keys[a] == keys[b], k_primes[a] == k_primes[b])
+            << "k=" << a + 1 << " vs k=" << b + 1;
+        if (keys[a] != keys[b]) continue;
+        ++shared;
+        EXPECT_EQ(plans[a], plans[b]) << "k=" << a + 1 << " vs k=" << b + 1;
+      }
+    }
+    // n = 400 over s = 100 maps four k values onto each k'.
+    if (c.n > 100) {
+      EXPECT_GT(shared, 0u);
+    }
+  }
+}
+
+TEST(PlannerTest, KeyTracksCostBitsPagesGroupsAndSampleSource) {
+  const Dataset data = MakeData(21, 400);
+  const Dataset twin = MakeData(21, 400);
+  AverageFunction avg(2);
+  CostBasedPlanner planner(&avg, PlannerOptions{});
+  const CostModel base = CostModel::Uniform(2, 1.0, 1.0000001);
+  const std::string key = KeyOf(planner, SourceSet(&data, base), 5);
+
+  // Differences a decimal rendering of the cost model would round away.
+  CostModel nudged = base;
+  nudged.random_cost[1] = std::nextafter(nudged.random_cost[1], 2.0);
+  EXPECT_NE(KeyOf(planner, SourceSet(&data, nudged), 5), key);
+  CostModel sorted = base;
+  sorted.sorted_cost[0] = std::nextafter(1.0, 0.0);
+  EXPECT_NE(KeyOf(planner, SourceSet(&data, sorted), 5), key);
+
+  CostModel paged = base;
+  paged.sorted_page_size = {1, 2};
+  const std::string paged_key = KeyOf(planner, SourceSet(&data, paged), 5);
+  EXPECT_NE(paged_key, key);
+  paged.sorted_page_size = {2, 1};
+  EXPECT_NE(KeyOf(planner, SourceSet(&data, paged), 5), paged_key);
+
+  CostModel grouped = base;
+  grouped.attribute_groups = {0, 0};
+  const std::string grouped_key =
+      KeyOf(planner, SourceSet(&data, grouped), 5);
+  EXPECT_NE(grouped_key, key);
+  grouped.attribute_groups = {0, 1};
+  EXPECT_NE(KeyOf(planner, SourceSet(&data, grouped), 5), grouped_key);
+
+  // Data samples are drawn from one particular Dataset; dummy-uniform
+  // samples from none, so equal-sized tables share the dummy plan.
+  EXPECT_EQ(KeyOf(planner, SourceSet(&data, base), 5), key);
+  EXPECT_NE(KeyOf(planner, SourceSet(&twin, base), 5), key);
+  PlannerOptions dummy;
+  dummy.sample_mode = SampleMode::kDummyUniform;
+  CostBasedPlanner dummy_planner(&avg, dummy);
+  const SourceSet on_data(&data, base);
+  const SourceSet on_twin(&twin, base);
+  EXPECT_EQ(KeyOf(dummy_planner, on_data, 5), KeyOf(dummy_planner, on_twin, 5));
+  OptimizerResult from_data;
+  OptimizerResult from_twin;
+  ASSERT_TRUE(dummy_planner.Plan(on_data, 5, &from_data).ok());
+  ASSERT_TRUE(dummy_planner.Plan(on_twin, 5, &from_twin).ok());
+  EXPECT_EQ(PlanBytes(from_data), PlanBytes(from_twin));
+
+  // n enters k' and the full-scale prediction.
+  const Dataset larger = MakeData(21, 401);
+  EXPECT_NE(KeyOf(dummy_planner, SourceSet(&larger, base), 5),
+            KeyOf(dummy_planner, on_data, 5));
+}
+
+TEST(PlannerTest, PlanKeyRefusesWhatPlanRefuses) {
+  const Dataset data = MakeData(22, 50);
+  AverageFunction avg(2);
+  AverageFunction wide(3);
+  const SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+  std::string key = "untouched";
+  EXPECT_EQ(CostBasedPlanner(&avg, PlannerOptions{})
+                .PlanKey(sources, 0, &key)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CostBasedPlanner(&wide, PlannerOptions{})
+                .PlanKey(sources, 5, &key)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(key, "untouched");
 }
 
 TEST(PlannerTest, SearchSchemeNames) {

@@ -716,7 +716,7 @@ TEST(ServerObsTest, ProfilezServesPerQueryAndCrossQueryBreakdowns) {
 
   // The cross-query rollup has one sample per served query; the
   // optimizer centers appear there even though later queries hit the
-  // worker's plan cache and skip planning.
+  // server run's shared plan cache and skip planning.
   const obs::JsonValue* cross = doc.Find("cross_query");
   ASSERT_NE(cross, nullptr);
   ASSERT_TRUE(cross->is_array());

@@ -456,5 +456,137 @@ TEST(ServerTest, FleetStressSharedHubUnderConcurrency) {
   EXPECT_EQ(stats.errors, 0u);
 }
 
+// Plans served over a server's /metrics counter, by where they came from.
+double PlansServed(const QueryServer& server, const char* source) {
+  return server.metrics().CounterSum("nc_server_plans_total",
+                                     {{"source", source}});
+}
+
+// Submits every k at once and waits for all the answers.
+std::vector<QueryResponse> ServeAll(QueryServer& server,
+                                    const std::vector<size_t>& ks) {
+  std::vector<std::future<QueryResponse>> futures(ks.size());
+  for (size_t j = 0; j < ks.size(); ++j) {
+    QueryRequest request;
+    request.k = ks[j];
+    NC_CHECK(server.Submit(request, &futures[j]).ok());
+  }
+  std::vector<QueryResponse> responses;
+  for (auto& future : futures) responses.push_back(future.get());
+  return responses;
+}
+
+// A standalone optimized run: the answer and Eq. 1 cost every server
+// response for the same (k, cost model) must reproduce exactly.
+struct Standalone {
+  TopKResult result;
+  double cost = 0.0;
+};
+
+Standalone RunStandalone(const Dataset& data, const ScoringFunction& scoring,
+                         const CostModel& cost, size_t k) {
+  SourceSet sources(&data, cost);
+  Standalone out;
+  NC_CHECK(RunOptimizedNC(&sources, scoring, k, SmallPlanner(), &out.result)
+               .ok());
+  out.cost = sources.accrued_cost();
+  return out;
+}
+
+// The workers of one server run share one plan cache. n = 1000 over a
+// 100-object sample scales k = 1..20 to just two k' values, so 4 workers
+// plan at most 4 x 2 times however many queries they serve, and every
+// answer matches a standalone run.
+TEST(ServerTest, WorkersShareOnePlanCachePerRun) {
+  const Dataset data = MakeData(71, 1000);
+  const AverageFunction avg(2);
+  const CostModel cost = CostModel::Uniform(2, 1.0, 2.0);
+  std::vector<size_t> ks;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t k = 1; k <= 20; ++k) ks.push_back(k);
+  }
+  std::vector<Standalone> expected;
+  for (size_t k = 1; k <= 20; ++k) {
+    expected.push_back(RunStandalone(data, avg, cost, k));
+  }
+
+  ServerConfig config;
+  config.num_workers = 4;
+  config.queue_capacity = ks.size();
+  config.planner = SmallPlanner();
+  QueryServer server(&avg, config, [&](size_t) {
+    return std::make_unique<PlainStack>(&data, cost);
+  });
+  for (int run = 1; run <= 2; ++run) {
+    SCOPED_TRACE(run);
+    const double planned_before = PlansServed(server, "planned");
+    const double cached_before = PlansServed(server, "cached");
+    ASSERT_TRUE(server.Start().ok());
+    const std::vector<QueryResponse> responses = ServeAll(server, ks);
+    server.Shutdown(/*finish_queued=*/true);
+    for (size_t j = 0; j < ks.size(); ++j) {
+      const QueryResponse& response = responses[j];
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      EXPECT_EQ(response.result, expected[ks[j] - 1].result) << "k=" << ks[j];
+      EXPECT_EQ(response.accrued_cost, expected[ks[j] - 1].cost)
+          << "k=" << ks[j];
+    }
+    // Each run starts from an empty cache: both signatures are planned
+    // again after the restart.
+    const double planned = PlansServed(server, "planned") - planned_before;
+    const double cached = PlansServed(server, "cached") - cached_before;
+    EXPECT_GE(planned, 2.0);
+    EXPECT_LE(planned, 4.0 * 2.0);
+    EXPECT_EQ(planned + cached, static_cast<double>(ks.size()));
+  }
+}
+
+// A worker whose cost model was downgraded plans under its own key: its
+// answers are the downgraded scenario's, and the healthy workers keep
+// theirs. The downgrade is the one a source death applies, made
+// persistent through set_cost_model so that it is still in force when
+// the next query plans (Reset revives a dead source).
+TEST(ServerTest, DowngradedWorkerPlansUnderItsOwnKey) {
+  const Dataset data = MakeData(72, 1000);
+  const AverageFunction avg(2);
+  // Cheap probes, so that withdrawing one changes the plan and its cost.
+  const CostModel healthy = CostModel::Uniform(2, 1.0, 0.5);
+  CostModel downgraded = healthy;
+  downgraded.random_cost[1] = kImpossibleCost;
+  std::vector<size_t> ks;
+  for (int round = 0; round < 3; ++round) {
+    for (size_t k = 1; k <= 20; ++k) ks.push_back(k);
+  }
+
+  ServerConfig config;
+  config.num_workers = 4;
+  config.queue_capacity = ks.size();
+  config.planner = SmallPlanner();
+  QueryServer server(&avg, config, [&](size_t index) {
+    auto stack = std::make_unique<PlainStack>(&data, healthy);
+    if (index == 0) NC_CHECK(stack->sources().set_cost_model(downgraded).ok());
+    return stack;
+  });
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<QueryResponse> responses = ServeAll(server, ks);
+  server.Shutdown(/*finish_queued=*/true);
+
+  size_t downgraded_served = 0;
+  for (size_t j = 0; j < ks.size(); ++j) {
+    const QueryResponse& response = responses[j];
+    ASSERT_TRUE(response.status.ok()) << response.status;
+    const bool on_downgraded = response.worker == 0;
+    downgraded_served += on_downgraded ? 1 : 0;
+    const Standalone expected = RunStandalone(
+        data, avg, on_downgraded ? downgraded : healthy, ks[j]);
+    EXPECT_EQ(response.result, expected.result) << "k=" << ks[j];
+    EXPECT_EQ(response.accrued_cost, expected.cost)
+        << "k=" << ks[j] << " worker=" << response.worker;
+  }
+  EXPECT_GT(downgraded_served, 0u);
+  // Two cost models, two k' values each: at most workers x 4 plans.
+  EXPECT_LE(PlansServed(server, "planned"), 4.0 * 4.0);
+}
+
 }  // namespace
 }  // namespace nc

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "access/budget.h"
 #include "access/fault.h"
@@ -76,6 +78,102 @@ TEST(SessionTest, DifferentKTriggersReplan) {
   EXPECT_EQ(session.plans_computed(), 2u);
 }
 
+TEST(SessionTest, KsSharingAScaledKShareOnePlan) {
+  // n = 600 over a 100-object sample: k = 1..6 all scale to k' = 1.
+  const Dataset data = MakeData(3);
+  AverageFunction avg(2);
+  QuerySession session(&avg, SmallPlanner());
+  for (size_t k = 1; k <= 6; ++k) {
+    SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+    TopKResult result;
+    ASSERT_TRUE(session.Query(&sources, k, &result).ok());
+    EXPECT_EQ(result, BruteForceTopK(data, avg, k));
+  }
+  EXPECT_EQ(session.plans_computed(), 1u);
+  EXPECT_EQ(session.cache_hits(), 5u);
+}
+
+TEST(SessionTest, NearbyCostModelsDoNotShareAPlan) {
+  // Both costs print as 1 at six significant digits; the key must still
+  // tell them apart.
+  const Dataset data = MakeData(3);
+  AverageFunction avg(2);
+  QuerySession session(&avg, SmallPlanner());
+  TopKResult result;
+  SourceSet a(&data, CostModel::Uniform(2, 1.0, 1.0000001));
+  ASSERT_TRUE(session.Query(&a, 5, &result).ok());
+  SourceSet b(&data, CostModel::Uniform(2, 1.0, 1.0000004));
+  ASSERT_TRUE(session.Query(&b, 5, &result).ok());
+  EXPECT_EQ(session.plans_computed(), 2u);
+  EXPECT_EQ(session.cache_hits(), 0u);
+}
+
+TEST(SessionTest, PlansAreKeyedOnTheSampledDataset) {
+  const Dataset data = MakeData(3);
+  const Dataset other = MakeData(4);
+  AverageFunction avg(2);
+  QuerySession session(&avg, SmallPlanner());
+  TopKResult result;
+  SourceSet a(&data, CostModel::Uniform(2, 1.0, 1.0));
+  ASSERT_TRUE(session.Query(&a, 5, &result).ok());
+  SourceSet b(&other, CostModel::Uniform(2, 1.0, 1.0));
+  ASSERT_TRUE(session.Query(&b, 5, &result).ok());
+  EXPECT_EQ(result, BruteForceTopK(other, avg, 5));
+  EXPECT_EQ(session.plans_computed(), 2u);
+}
+
+TEST(SessionTest, SharedPlanCacheServesEverySession) {
+  const Dataset data = MakeData(3);
+  AverageFunction avg(2);
+  PlanCache plans;
+  QuerySession first(&avg, SmallPlanner(), nullptr, &plans);
+  QuerySession second(&avg, SmallPlanner(), nullptr, &plans);
+  TopKResult result;
+  SourceSet a(&data, CostModel::Uniform(2, 1.0, 1.0));
+  ASSERT_TRUE(first.Query(&a, 5, &result).ok());
+  SourceSet b(&data, CostModel::Uniform(2, 1.0, 1.0));
+  ASSERT_TRUE(second.Query(&b, 6, &result).ok());
+  EXPECT_EQ(result, BruteForceTopK(data, avg, 6));
+  EXPECT_EQ(first.plans_computed(), 1u);
+  EXPECT_EQ(second.plans_computed(), 0u);
+  EXPECT_EQ(second.cache_hits(), 1u);
+  EXPECT_EQ(plans.size(), 1u);
+  EXPECT_EQ(second.last_plan().config.depths,
+            first.last_plan().config.depths);
+}
+
+TEST(SessionTest, ConcurrentSessionsShareOnePlanCache) {
+  // Sessions on separate threads, one cache: a race on a missed key
+  // plans twice at most per thread, and every answer stays exact.
+  const Dataset data = MakeData(3);
+  AverageFunction avg(2);
+  PlanCache plans;
+  constexpr size_t kThreads = 3;
+  std::vector<size_t> planned(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      QuerySession session(&avg, SmallPlanner(), nullptr, &plans);
+      for (size_t k = 1; k <= 12; ++k) {
+        SourceSet sources(&data, CostModel::Uniform(2, 1.0, 1.0));
+        TopKResult result;
+        ASSERT_TRUE(session.Query(&sources, k, &result).ok());
+        EXPECT_EQ(result, BruteForceTopK(data, avg, k));
+      }
+      planned[t] = session.plans_computed();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // n = 600 over s = 100: k = 1..12 scale to k' = 1 and 2.
+  EXPECT_EQ(plans.size(), 2u);
+  size_t total = 0;
+  for (size_t p : planned) {
+    EXPECT_LE(p, 2u);
+    total += p;
+  }
+  EXPECT_GE(total, 2u);
+}
+
 TEST(SessionTest, PageAndGroupChangesInvalidate) {
   const Dataset data = MakeData(4);
   AverageFunction avg(2);
@@ -118,6 +216,27 @@ TEST(SessionTest, PropagatesPlanningErrors) {
   EXPECT_EQ(session.Query(&sources, 0, &result).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(session.plans_computed(), 0u);
+
+  // An invalid query is refused before the cache is consulted, even when
+  // the k' = 1 plan it would have mapped to is cached: k = 5 over 600
+  // objects and a 100-object sample scales to k' = 1.
+  const Dataset larger = MakeData(6);
+  SourceSet cached(&larger, CostModel::Uniform(2, 1.0, 1.0));
+  ASSERT_TRUE(session.Query(&cached, 5, &result).ok());
+  EXPECT_EQ(session.plans_computed(), 1u);
+  EXPECT_EQ(session.Query(&cached, 0, &result).code(),
+            StatusCode::kInvalidArgument);
+  const Dataset wide = GenerateDataset([] {
+    GeneratorOptions g;
+    g.num_objects = 600;
+    g.num_predicates = 3;
+    return g;
+  }());
+  SourceSet mismatched(&wide, CostModel::Uniform(3, 1.0, 1.0));
+  EXPECT_EQ(session.Query(&mismatched, 5, &result).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.plans_computed(), 1u);
+  EXPECT_EQ(session.cache_hits(), 0u);
 }
 
 TEST(SessionTest, OutcomeTracksQueryDisposition) {
