@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <cmath>
-#include <string_view>
 
 #include "common/check.h"
-#include "common/numeric.h"
 #include "obs/metrics.h"
 
 namespace nc::cache {
@@ -31,81 +29,6 @@ Status CacheConfig::Validate() const {
   if (!std::isfinite(random_ttl) || random_ttl < 0.0) {
     return Status::InvalidArgument("cache random_ttl must be >= 0, finite");
   }
-  return Status::OK();
-}
-
-std::string CacheConfig::Serialize() const {
-  // Hexfloat doubles for byte-exact round trips; everything funnels
-  // through common/numeric.h so a comma-decimal global locale cannot
-  // corrupt the format.
-  std::string out = "nccache 1\n";
-  out += "hit_cost " + FormatHexDouble(hit_cost) + "\n";
-  out += "capacity " + std::to_string(random_capacity) + "\n";
-  out += "ttl " + FormatHexDouble(random_ttl) + "\n";
-  out += "end\n";
-  return out;
-}
-
-Status ParseCacheConfig(const std::string& text, CacheConfig* out) {
-  NC_CHECK(out != nullptr);
-  std::vector<std::string_view> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    const size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) break;
-    lines.push_back(std::string_view(text).substr(start, nl - start));
-    start = nl + 1;
-  }
-  auto fail = [](size_t line, const std::string& what) {
-    return Status::InvalidArgument("nccache line " +
-                                   std::to_string(line + 1) + ": " + what);
-  };
-  if (lines.empty() || lines[0] != "nccache 1") {
-    return fail(0, "expected header 'nccache 1'");
-  }
-  CacheConfig parsed;
-  // Fixed record order, mirroring Serialize, so the round trip is
-  // byte-exact and a truncated document is rejected by line number.
-  struct Field {
-    std::string_view name;
-    bool is_count;
-  };
-  const Field fields[] = {
-      {"hit_cost", false}, {"capacity", true}, {"ttl", false}};
-  size_t line = 1;
-  for (const Field& field : fields) {
-    if (line >= lines.size()) return fail(line, "truncated document");
-    const std::string_view text_line = lines[line];
-    const size_t space = text_line.find(' ');
-    if (space == std::string_view::npos ||
-        text_line.substr(0, space) != field.name) {
-      return fail(line, "expected record '" + std::string(field.name) + "'");
-    }
-    const std::string_view token = text_line.substr(space + 1);
-    if (field.is_count) {
-      uint64_t value = 0;
-      if (!ParseUInt64(token, &value)) {
-        return fail(line, "bad count '" + std::string(token) + "'");
-      }
-      parsed.random_capacity = static_cast<size_t>(value);
-    } else {
-      double value = 0.0;
-      if (!ParseDouble(token, &value)) {
-        return fail(line, "bad number '" + std::string(token) + "'");
-      }
-      if (field.name == "hit_cost") {
-        parsed.hit_cost = value;
-      } else {
-        parsed.random_ttl = value;
-      }
-    }
-    ++line;
-  }
-  if (line >= lines.size() || lines[line] != "end") {
-    return fail(line, "expected 'end'");
-  }
-  NC_RETURN_IF_ERROR(parsed.Validate());
-  *out = parsed;
   return Status::OK();
 }
 

@@ -74,15 +74,7 @@ struct CacheConfig {
   double random_ttl = 0.0;
 
   Status Validate() const;
-
-  // Versioned locale-independent text form ("nccache 1"); byte-exact
-  // round trip through ParseCacheConfig under any global locale.
-  std::string Serialize() const;
 };
-
-// Parses CacheConfig::Serialize() output. On failure *out is untouched
-// and the message names the offending line.
-Status ParseCacheConfig(const std::string& text, CacheConfig* out);
 
 // One materialized sorted-stream entry: exactly what the real access
 // returned, bundled attribute-group scores included.

@@ -1,540 +1,242 @@
 #include "core/checkpoint.h"
 
-#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "access/trace_format.h"
 #include "common/check.h"
-#include "common/numeric.h"
+#include "common/record_text.h"
 
 namespace nc {
 
 namespace {
 
-// C hexfloat: byte-exact double round-trips, inf included. Locale-safe
-// (common/numeric.h): printf("%a") would emit "0x1,8p+1" under a
-// comma-decimal locale and strtod would truncate it on the way back.
-std::string HexDouble(double v) { return FormatHexDouble(v); }
-
-bool ParseU64(const std::string& token, uint64_t* out) {
-  return ParseUInt64(token, out);
+template <typename A, typename B>
+void WritePairs(RecordWriter* w, const std::vector<std::pair<A, B>>& values) {
+  w->UInt(values.size());
+  for (const auto& [a, b] : values) w->UInt(a).UInt(b);
 }
 
-bool ParseF64(const std::string& token, double* out) {
-  return ParseDouble(token, out);
+template <typename A, typename B>
+void ReadPairs(RecordCursor* c, std::vector<std::pair<A, B>>* out) {
+  const uint64_t n = c->Count(2);
+  for (uint64_t i = 0; i < n; ++i) {
+    const A a = c->UIntAs<A>();
+    out->emplace_back(a, c->UIntAs<B>());
+  }
 }
-
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("malformed checkpoint: " + what);
-}
-
-// Emits the fixed-order `key value` lines (bare key when the value is
-// empty, so empty strings round-trip).
-class Writer {
- public:
-  void Line(const char* key, const std::string& value) {
-    os_ << key;
-    if (!value.empty()) os_ << ' ' << value;
-    os_ << '\n';
-  }
-  void UInt(const char* key, uint64_t v) { Line(key, std::to_string(v)); }
-  void Double(const char* key, double v) { Line(key, HexDouble(v)); }
-  void Bool(const char* key, bool v) { Line(key, v ? "1" : "0"); }
-
-  void UIntVec(const char* key, const std::vector<size_t>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (size_t x : values) v << ' ' << x;
-    Line(key, v.str());
-  }
-  void DoubleVec(const char* key, const std::vector<double>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (double x : values) v << ' ' << HexDouble(x);
-    Line(key, v.str());
-  }
-  void BoolVec(const char* key, const std::vector<bool>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (bool x : values) v << ' ' << (x ? 1 : 0);
-    Line(key, v.str());
-  }
-  template <typename A, typename B>
-  void PairVec(const char* key, const std::vector<std::pair<A, B>>& values) {
-    std::ostringstream v;
-    v << values.size();
-    for (const auto& [a, b] : values) {
-      v << ' ' << static_cast<uint64_t>(a) << ' ' << static_cast<uint64_t>(b);
-    }
-    Line(key, v.str());
-  }
-
-  std::string str() const { return os_.str(); }
-
- private:
-  std::ostringstream os_;
-};
-
-// Consumes the same fixed-order lines. Every accessor returns a Status so
-// truncation and key mismatches surface with the expected key named.
-class Parser {
- public:
-  explicit Parser(const std::string& text) : in_(text) {}
-
-  Status Expect(const char* key, std::string* value) {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      return Malformed(std::string("truncated before '") + key + "'");
-    }
-    const std::string k(key);
-    if (line == k) {
-      value->clear();
-      return Status::OK();
-    }
-    if (line.size() > k.size() && line.compare(0, k.size(), k) == 0 &&
-        line[k.size()] == ' ') {
-      *value = line.substr(k.size() + 1);
-      return Status::OK();
-    }
-    return Malformed(std::string("expected '") + key + "', got '" + line +
-                     "'");
-  }
-
-  Status UInt(const char* key, uint64_t* out) {
-    std::string value;
-    NC_RETURN_IF_ERROR(Expect(key, &value));
-    if (!ParseU64(value, out)) return Malformed(std::string(key));
-    return Status::OK();
-  }
-
-  Status Double(const char* key, double* out) {
-    std::string value;
-    NC_RETURN_IF_ERROR(Expect(key, &value));
-    if (!ParseF64(value, out)) return Malformed(std::string(key));
-    return Status::OK();
-  }
-
-  Status Bool(const char* key, bool* out) {
-    uint64_t v = 0;
-    NC_RETURN_IF_ERROR(UInt(key, &v));
-    if (v > 1) return Malformed(std::string(key) + " is not a flag");
-    *out = v == 1;
-    return Status::OK();
-  }
-
-  // Splits a counted-vector value into its raw tokens.
-  Status Tokens(const char* key, std::vector<std::string>* out,
-                size_t per_element = 1) {
-    std::string value;
-    NC_RETURN_IF_ERROR(Expect(key, &value));
-    std::istringstream tokens(value);
-    std::string count_token;
-    uint64_t count = 0;
-    if (!(tokens >> count_token) || !ParseU64(count_token, &count)) {
-      return Malformed(std::string(key) + " count");
-    }
-    out->clear();
-    std::string token;
-    while (tokens >> token) out->push_back(token);
-    if (out->size() != count * per_element) {
-      return Malformed(std::string(key) + " element count");
-    }
-    return Status::OK();
-  }
-
-  Status UIntVec(const char* key, std::vector<size_t>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens));
-    out->clear();
-    for (const std::string& t : tokens) {
-      uint64_t v = 0;
-      if (!ParseU64(t, &v)) return Malformed(std::string(key));
-      out->push_back(static_cast<size_t>(v));
-    }
-    return Status::OK();
-  }
-
-  Status DoubleVec(const char* key, std::vector<double>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens));
-    out->clear();
-    for (const std::string& t : tokens) {
-      double v = 0.0;
-      if (!ParseF64(t, &v)) return Malformed(std::string(key));
-      out->push_back(v);
-    }
-    return Status::OK();
-  }
-
-  Status BoolVec(const char* key, std::vector<bool>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens));
-    out->clear();
-    for (const std::string& t : tokens) {
-      uint64_t v = 0;
-      if (!ParseU64(t, &v) || v > 1) return Malformed(std::string(key));
-      out->push_back(v == 1);
-    }
-    return Status::OK();
-  }
-
-  template <typename A, typename B>
-  Status PairVec(const char* key, std::vector<std::pair<A, B>>* out) {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(Tokens(key, &tokens, 2));
-    out->clear();
-    for (size_t i = 0; i < tokens.size(); i += 2) {
-      uint64_t a = 0;
-      uint64_t b = 0;
-      if (!ParseU64(tokens[i], &a) || !ParseU64(tokens[i + 1], &b)) {
-        return Malformed(std::string(key));
-      }
-      out->emplace_back(static_cast<A>(a), static_cast<B>(b));
-    }
-    return Status::OK();
-  }
-
-  Status ReadLine(std::string* line, const char* context) {
-    if (!std::getline(in_, *line)) {
-      return Malformed(std::string("truncated in ") + context);
-    }
-    return Status::OK();
-  }
-
-  bool AtEnd() {
-    return in_.peek() == std::char_traits<char>::eof();
-  }
-
- private:
-  std::istringstream in_;
-};
 
 }  // namespace
 
 std::string SerializeCheckpoint(const EngineCheckpoint& ck) {
-  Writer w;
-  w.Line("ncckpt", std::to_string(ck.version));
-  w.UInt("k", ck.k);
-  w.UInt("m", ck.num_predicates);
-  w.UInt("n", ck.num_objects);
-  w.UInt("accesses", ck.accesses);
-  w.UInt("phase_accesses", ck.phase_accesses);
-  w.UInt("consecutive_failures", ck.consecutive_failures);
-  w.Double("choice_width_total", ck.choice_width_total);
-  w.Bool("universe_seeded", ck.universe_seeded);
-  {
-    std::ostringstream v;
-    v << (ck.has_complete_topk ? 1 : 0) << ' ' << ck.complete_topk.size();
-    for (const TopKEntry& e : ck.complete_topk) {
-      v << ' ' << e.object << ' ' << HexDouble(e.score);
-    }
-    w.Line("complete_topk", v.str());
-  }
-  w.UInt("pool", ck.pool.size());
+  RecordWriter w("ncckpt", ck.version);
+  w.Record("k").UInt(ck.k);
+  w.Record("m").UInt(ck.num_predicates);
+  w.Record("n").UInt(ck.num_objects);
+  w.Record("accesses").UInt(ck.accesses);
+  w.Record("phase_accesses").UInt(ck.phase_accesses);
+  w.Record("consecutive_failures").UInt(ck.consecutive_failures);
+  w.Record("choice_width_total").Double(ck.choice_width_total);
+  w.Record("universe_seeded").Flag(ck.universe_seeded);
+  w.Record("complete_topk").Flag(ck.has_complete_topk);
+  w.UInt(ck.complete_topk.size());
+  for (const TopKEntry& e : ck.complete_topk) w.UInt(e.object).Double(e.score);
+  w.Record("pool").UInt(ck.pool.size());
   for (const CandidateCheckpoint& c : ck.pool) {
-    std::ostringstream v;
-    v << c.object << ' ' << c.mask;
-    for (Score s : c.scores) v << ' ' << HexDouble(s);
-    w.Line("cand", v.str());
+    w.Record("cand").UInt(c.object).UInt(c.mask);
+    for (const Score s : c.scores) w.Double(s);
   }
-  {
-    std::ostringstream v;
-    v << ck.heap.size();
-    for (const LazyBoundHeap::Entry& e : ck.heap) {
-      v << ' ' << e.object << ' ' << HexDouble(e.bound);
-    }
-    w.Line("heap", v.str());
+  w.Record("heap").UInt(ck.heap.size());
+  for (const LazyBoundHeap::Entry& e : ck.heap) {
+    w.UInt(e.object).Double(e.bound);
   }
-  w.Line("policy", ck.policy_state);
+  w.Record("policy").Rest(ck.policy_state);
 
   const SourceCheckpoint& src = ck.sources;
-  w.UIntVec("src_positions", src.positions);
-  w.DoubleVec("src_last_seen", src.last_seen);
-  w.Double("src_accrued_cost", src.accrued_cost);
-  w.Double("src_last_penalty", src.last_access_penalty);
-  w.Double("src_total_penalty", src.total_penalty);
-  w.PairVec("src_probed", src.probed);
-  w.DoubleVec("src_sorted_cost", src.sorted_cost);
-  w.DoubleVec("src_random_cost", src.random_cost);
-  w.BoolVec("src_source_down", src.source_down);
-  w.UIntVec("src_breaker_consecutive", src.breaker_consecutive);
-  w.BoolVec("src_breaker_open", src.breaker_open);
-  w.DoubleVec("src_breaker_open_until", src.breaker_open_until);
-  w.Line("src_latency_rng", src.latency_rng_state);
-  w.Line("src_retry_rng", src.retry_rng_state);
-  w.Bool("src_has_injector", src.has_injector);
-  w.Line("src_injector_rng", src.injector_rng_state);
-  w.PairVec("src_injector_attempts", src.injector_attempts);
-  w.PairVec("src_injector_scripts", src.injector_script_pos);
-  w.Bool("src_trace_enabled", src.trace_enabled);
-  w.Line("src_attempt_trace", SerializeAttemptTrace(src.attempt_trace));
+  w.Record("src_positions").UInts(src.positions);
+  w.Record("src_last_seen").Doubles(src.last_seen);
+  w.Record("src_accrued_cost").Double(src.accrued_cost);
+  w.Record("src_last_penalty").Double(src.last_access_penalty);
+  w.Record("src_total_penalty").Double(src.total_penalty);
+  WritePairs(&w.Record("src_probed"), src.probed);
+  w.Record("src_sorted_cost").Doubles(src.sorted_cost);
+  w.Record("src_random_cost").Doubles(src.random_cost);
+  w.Record("src_source_down").Flags(src.source_down);
+  w.Record("src_breaker_consecutive").UInts(src.breaker_consecutive);
+  w.Record("src_breaker_open").Flags(src.breaker_open);
+  w.Record("src_breaker_open_until").Doubles(src.breaker_open_until);
+  w.Record("src_latency_rng").Rest(src.latency_rng_state);
+  w.Record("src_retry_rng").Rest(src.retry_rng_state);
+  w.Record("src_has_injector").Flag(src.has_injector);
+  w.Record("src_injector_rng").Rest(src.injector_rng_state);
+  WritePairs(&w.Record("src_injector_attempts"), src.injector_attempts);
+  WritePairs(&w.Record("src_injector_scripts"), src.injector_script_pos);
+  w.Record("src_trace_enabled").Flag(src.trace_enabled);
+  w.Record("src_attempt_trace").Rest(SerializeAttemptTrace(src.attempt_trace));
 
   const AccessStats& stats = src.stats;
-  w.UIntVec("stats_sorted_count", stats.sorted_count);
-  w.UIntVec("stats_random_count", stats.random_count);
-  w.DoubleVec("stats_sorted_cost", stats.sorted_cost_accrued);
-  w.DoubleVec("stats_random_cost", stats.random_cost_accrued);
-  w.UInt("stats_duplicate_random", stats.duplicate_random_count);
-  w.UIntVec("stats_retried", stats.retried_attempts);
-  w.UInt("stats_transient", stats.transient_failures);
-  w.UInt("stats_timeout", stats.timeout_failures);
-  w.UInt("stats_abandoned", stats.abandoned_accesses);
-  w.UInt("stats_deaths", stats.source_deaths);
-  w.UIntVec("stats_breaker_trips", stats.breaker_trips);
-  w.UInt("stats_breaker_fast_failures", stats.breaker_fast_failures);
-  w.UInt("stats_budget_refusals", stats.budget_refusals);
-  w.UInt("stats_replica_failovers", stats.replica_failovers);
-  w.UInt("stats_hedges_issued", stats.hedges_issued);
-  w.UInt("stats_hedge_wins", stats.hedge_wins);
+  w.Record("stats_sorted_count").UInts(stats.sorted_count);
+  w.Record("stats_random_count").UInts(stats.random_count);
+  w.Record("stats_sorted_cost").Doubles(stats.sorted_cost_accrued);
+  w.Record("stats_random_cost").Doubles(stats.random_cost_accrued);
+  w.Record("stats_duplicate_random").UInt(stats.duplicate_random_count);
+  w.Record("stats_retried").UInts(stats.retried_attempts);
+  w.Record("stats_transient").UInt(stats.transient_failures);
+  w.Record("stats_timeout").UInt(stats.timeout_failures);
+  w.Record("stats_abandoned").UInt(stats.abandoned_accesses);
+  w.Record("stats_deaths").UInt(stats.source_deaths);
+  w.Record("stats_breaker_trips").UInts(stats.breaker_trips);
+  w.Record("stats_breaker_fast_failures").UInt(stats.breaker_fast_failures);
+  w.Record("stats_budget_refusals").UInt(stats.budget_refusals);
+  w.Record("stats_replica_failovers").UInt(stats.replica_failovers);
+  w.Record("stats_hedges_issued").UInt(stats.hedges_issued);
+  w.Record("stats_hedge_wins").UInt(stats.hedge_wins);
 
   // --- Replica fleet (version 2) ---------------------------------------
   const ReplicaFleetState& fleet = src.fleet_state;
-  w.Bool("src_has_fleet", src.has_fleet);
-  w.Line("fleet_latency_rng", fleet.latency_rng_state);
-  w.PairVec("fleet_rr_cursors", fleet.rr_cursors);
-  w.UInt("fleet_slots", fleet.slots.size());
+  w.Record("src_has_fleet").Flag(src.has_fleet);
+  w.Record("fleet_latency_rng").Rest(fleet.latency_rng_state);
+  WritePairs(&w.Record("fleet_rr_cursors"), fleet.rr_cursors);
+  w.Record("fleet_slots").UInt(fleet.slots.size());
   for (const ReplicaSlotState& slot : fleet.slots) {
     const ReplicaRuntime& rt = slot.runtime;
-    std::ostringstream v;
-    v << slot.predicate << ' ' << slot.replica << ' '
-      << rt.breaker_consecutive << ' ' << (rt.breaker_open ? 1 : 0) << ' '
-      << HexDouble(rt.breaker_open_until) << ' ' << (rt.dead ? 1 : 0) << ' '
-      << (rt.has_ewma ? 1 : 0) << ' ' << HexDouble(rt.ewma_latency) << ' '
-      << rt.served << ' ' << rt.failovers << ' ' << rt.breaker_trips << ' '
-      << rt.hedges_issued << ' ' << rt.hedge_wins << ' '
-      << HexDouble(rt.cost_accrued) << ' ' << rt.latency_count << ' '
-      << HexDouble(rt.latency_sum) << ' ' << HexDouble(rt.latency_min) << ' '
-      << HexDouble(rt.latency_max) << ' ' << slot.injector_attempts << ' '
-      << slot.injector_script_pos;
-    w.Line("fleet_slot", v.str());
-    w.Line("fleet_slot_rng", slot.injector_rng_state);
+    w.Record("fleet_slot").UInt(slot.predicate).UInt(slot.replica);
+    w.UInt(rt.breaker_consecutive).Flag(rt.breaker_open);
+    w.Double(rt.breaker_open_until).Flag(rt.dead).Flag(rt.has_ewma);
+    w.Double(rt.ewma_latency).UInt(rt.served).UInt(rt.failovers);
+    w.UInt(rt.breaker_trips).UInt(rt.hedges_issued).UInt(rt.hedge_wins);
+    w.Double(rt.cost_accrued).UInt(rt.latency_count).Double(rt.latency_sum);
+    w.Double(rt.latency_min).Double(rt.latency_max);
+    w.UInt(slot.injector_attempts).UInt(slot.injector_script_pos);
+    w.Record("fleet_slot_rng").Rest(slot.injector_rng_state);
   }
-  return w.str();
+  return w.Finish();
 }
 
 Status ParseCheckpoint(const std::string& text, EngineCheckpoint* out) {
   NC_CHECK(out != nullptr);
-  Parser p(text);
+  RecordReader r("ncckpt", text);
   EngineCheckpoint ck;
   uint64_t version = 0;
-  NC_RETURN_IF_ERROR(p.UInt("ncckpt", &version));
-  if (version != kEngineCheckpointVersion) {
-    return Status::InvalidArgument("unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
+  NC_RETURN_IF_ERROR(r.Header({kEngineCheckpointVersion}, &version));
   ck.version = static_cast<uint32_t>(version);
-  uint64_t u = 0;
-  NC_RETURN_IF_ERROR(p.UInt("k", &u));
-  ck.k = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("m", &u));
-  ck.num_predicates = static_cast<size_t>(u);
+  ck.k = r.Field("k").UInt();
+  ck.num_predicates = r.Field("m").UInt();
   if (ck.num_predicates == 0 || ck.num_predicates > 64) {
-    return Malformed("predicate count out of range");
+    r.Reject("predicate count out of range");
   }
-  NC_RETURN_IF_ERROR(p.UInt("n", &u));
-  ck.num_objects = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("accesses", &u));
-  ck.accesses = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("phase_accesses", &u));
-  ck.phase_accesses = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("consecutive_failures", &u));
-  ck.consecutive_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.Double("choice_width_total", &ck.choice_width_total));
-  NC_RETURN_IF_ERROR(p.Bool("universe_seeded", &ck.universe_seeded));
-
+  ck.num_objects = r.Field("n").UInt();
+  ck.accesses = r.Field("accesses").UInt();
+  ck.phase_accesses = r.Field("phase_accesses").UInt();
+  ck.consecutive_failures = r.Field("consecutive_failures").UInt();
+  ck.choice_width_total = r.Field("choice_width_total").Double();
+  ck.universe_seeded = r.Field("universe_seeded").Flag();
   {
-    std::string value;
-    NC_RETURN_IF_ERROR(p.Expect("complete_topk", &value));
-    std::istringstream tokens(value);
-    std::string token;
-    uint64_t has = 0;
-    uint64_t count = 0;
-    if (!(tokens >> token) || !ParseU64(token, &has) || has > 1 ||
-        !(tokens >> token) || !ParseU64(token, &count)) {
-      return Malformed("complete_topk header");
+    RecordCursor& c = r.Field("complete_topk");
+    ck.has_complete_topk = c.Flag();
+    const uint64_t n = c.Count(2);
+    for (uint64_t i = 0; i < n; ++i) {
+      const ObjectId object = c.UIntAs<ObjectId>();
+      ck.complete_topk.push_back(TopKEntry{object, c.Double()});
     }
-    ck.has_complete_topk = has == 1;
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string score_token;
-      uint64_t object = 0;
-      double score = 0.0;
-      if (!(tokens >> token >> score_token) || !ParseU64(token, &object) ||
-          !ParseF64(score_token, &score)) {
-        return Malformed("complete_topk entry");
-      }
-      ck.complete_topk.push_back(
-          TopKEntry{static_cast<ObjectId>(object), score});
-    }
-    if (tokens >> token) return Malformed("complete_topk trailing tokens");
   }
-
-  uint64_t pool_count = 0;
-  NC_RETURN_IF_ERROR(p.UInt("pool", &pool_count));
-  ck.pool.reserve(static_cast<size_t>(pool_count));
-  for (uint64_t c = 0; c < pool_count; ++c) {
-    std::string line;
-    NC_RETURN_IF_ERROR(p.ReadLine(&line, "pool"));
-    std::istringstream tokens(line);
-    std::string token;
-    if (!(tokens >> token) || token != "cand") {
-      return Malformed("expected 'cand' line");
+  ck.pool.resize(static_cast<size_t>(r.CountField("pool", 1)));
+  for (CandidateCheckpoint& cand : ck.pool) {
+    RecordCursor& c = r.Field("cand");
+    cand.object = c.UIntAs<ObjectId>();
+    cand.mask = c.UInt();
+    if (ck.num_predicates < 64 && (cand.mask >> ck.num_predicates) != 0) {
+      r.Reject("cand mask names unknown predicates");
     }
-    CandidateCheckpoint cand;
-    uint64_t object = 0;
-    uint64_t mask = 0;
-    std::string object_token;
-    std::string mask_token;
-    if (!(tokens >> object_token >> mask_token) ||
-        !ParseU64(object_token, &object) || !ParseU64(mask_token, &mask)) {
-      return Malformed("cand header");
-    }
-    cand.object = static_cast<ObjectId>(object);
-    cand.mask = mask;
-    if (ck.num_predicates < 64 && (mask >> ck.num_predicates) != 0) {
-      return Malformed("cand mask names unknown predicates");
-    }
-    const int bits = __builtin_popcountll(mask);
-    for (int b = 0; b < bits; ++b) {
-      double score = 0.0;
-      if (!(tokens >> token) || !ParseF64(token, &score)) {
-        return Malformed("cand score");
-      }
-      cand.scores.push_back(score);
-    }
-    if (tokens >> token) return Malformed("cand trailing tokens");
-    ck.pool.push_back(std::move(cand));
+    const int bits = __builtin_popcountll(cand.mask);
+    for (int b = 0; b < bits; ++b) cand.scores.push_back(c.Double());
   }
-
   {
-    std::vector<std::string> tokens;
-    NC_RETURN_IF_ERROR(p.Tokens("heap", &tokens, 2));
-    for (size_t i = 0; i < tokens.size(); i += 2) {
-      uint64_t object = 0;
-      double bound = 0.0;
-      if (!ParseU64(tokens[i], &object) || !ParseF64(tokens[i + 1], &bound)) {
-        return Malformed("heap entry");
-      }
-      ck.heap.push_back(
-          LazyBoundHeap::Entry{bound, static_cast<ObjectId>(object)});
+    RecordCursor& c = r.Field("heap");
+    const uint64_t n = c.Count(2);
+    for (uint64_t i = 0; i < n; ++i) {
+      const ObjectId object = c.UIntAs<ObjectId>();
+      ck.heap.push_back(LazyBoundHeap::Entry{c.Double(), object});
     }
   }
-  NC_RETURN_IF_ERROR(p.Expect("policy", &ck.policy_state));
+  ck.policy_state = r.Field("policy").Rest();
 
   SourceCheckpoint& src = ck.sources;
-  NC_RETURN_IF_ERROR(p.UIntVec("src_positions", &src.positions));
-  NC_RETURN_IF_ERROR(p.DoubleVec("src_last_seen", &src.last_seen));
-  NC_RETURN_IF_ERROR(p.Double("src_accrued_cost", &src.accrued_cost));
-  NC_RETURN_IF_ERROR(p.Double("src_last_penalty", &src.last_access_penalty));
-  NC_RETURN_IF_ERROR(p.Double("src_total_penalty", &src.total_penalty));
-  NC_RETURN_IF_ERROR(p.PairVec("src_probed", &src.probed));
-  NC_RETURN_IF_ERROR(p.DoubleVec("src_sorted_cost", &src.sorted_cost));
-  NC_RETURN_IF_ERROR(p.DoubleVec("src_random_cost", &src.random_cost));
-  NC_RETURN_IF_ERROR(p.BoolVec("src_source_down", &src.source_down));
-  NC_RETURN_IF_ERROR(
-      p.UIntVec("src_breaker_consecutive", &src.breaker_consecutive));
-  NC_RETURN_IF_ERROR(p.BoolVec("src_breaker_open", &src.breaker_open));
-  NC_RETURN_IF_ERROR(
-      p.DoubleVec("src_breaker_open_until", &src.breaker_open_until));
-  NC_RETURN_IF_ERROR(p.Expect("src_latency_rng", &src.latency_rng_state));
-  NC_RETURN_IF_ERROR(p.Expect("src_retry_rng", &src.retry_rng_state));
-  NC_RETURN_IF_ERROR(p.Bool("src_has_injector", &src.has_injector));
-  NC_RETURN_IF_ERROR(p.Expect("src_injector_rng", &src.injector_rng_state));
-  NC_RETURN_IF_ERROR(
-      p.PairVec("src_injector_attempts", &src.injector_attempts));
-  NC_RETURN_IF_ERROR(
-      p.PairVec("src_injector_scripts", &src.injector_script_pos));
-  NC_RETURN_IF_ERROR(p.Bool("src_trace_enabled", &src.trace_enabled));
+  r.Field("src_positions").UInts(&src.positions);
+  r.Field("src_last_seen").Doubles(&src.last_seen);
+  src.accrued_cost = r.Field("src_accrued_cost").Double();
+  src.last_access_penalty = r.Field("src_last_penalty").Double();
+  src.total_penalty = r.Field("src_total_penalty").Double();
+  ReadPairs(&r.Field("src_probed"), &src.probed);
+  r.Field("src_sorted_cost").Doubles(&src.sorted_cost);
+  r.Field("src_random_cost").Doubles(&src.random_cost);
+  r.Field("src_source_down").Flags(&src.source_down);
+  r.Field("src_breaker_consecutive").UInts(&src.breaker_consecutive);
+  r.Field("src_breaker_open").Flags(&src.breaker_open);
+  r.Field("src_breaker_open_until").Doubles(&src.breaker_open_until);
+  src.latency_rng_state = r.Field("src_latency_rng").Rest();
+  src.retry_rng_state = r.Field("src_retry_rng").Rest();
+  src.has_injector = r.Field("src_has_injector").Flag();
+  src.injector_rng_state = r.Field("src_injector_rng").Rest();
+  ReadPairs(&r.Field("src_injector_attempts"), &src.injector_attempts);
+  ReadPairs(&r.Field("src_injector_scripts"), &src.injector_script_pos);
+  src.trace_enabled = r.Field("src_trace_enabled").Flag();
   {
-    std::string value;
-    NC_RETURN_IF_ERROR(p.Expect("src_attempt_trace", &value));
-    NC_RETURN_IF_ERROR(ParseAttemptTrace(value, &src.attempt_trace));
+    const std::string trace(r.Field("src_attempt_trace").Rest());
+    const Status status = ParseAttemptTrace(trace, &src.attempt_trace);
+    if (!status.ok()) r.Reject(status.message());
   }
 
   AccessStats& stats = src.stats;
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_sorted_count", &stats.sorted_count));
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_random_count", &stats.random_count));
-  NC_RETURN_IF_ERROR(
-      p.DoubleVec("stats_sorted_cost", &stats.sorted_cost_accrued));
-  NC_RETURN_IF_ERROR(
-      p.DoubleVec("stats_random_cost", &stats.random_cost_accrued));
-  NC_RETURN_IF_ERROR(p.UInt("stats_duplicate_random", &u));
-  stats.duplicate_random_count = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_retried", &stats.retried_attempts));
-  NC_RETURN_IF_ERROR(p.UInt("stats_transient", &u));
-  stats.transient_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_timeout", &u));
-  stats.timeout_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_abandoned", &u));
-  stats.abandoned_accesses = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_deaths", &u));
-  stats.source_deaths = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UIntVec("stats_breaker_trips", &stats.breaker_trips));
-  NC_RETURN_IF_ERROR(p.UInt("stats_breaker_fast_failures", &u));
-  stats.breaker_fast_failures = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_budget_refusals", &u));
-  stats.budget_refusals = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_replica_failovers", &u));
-  stats.replica_failovers = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_hedges_issued", &u));
-  stats.hedges_issued = static_cast<size_t>(u);
-  NC_RETURN_IF_ERROR(p.UInt("stats_hedge_wins", &u));
-  stats.hedge_wins = static_cast<size_t>(u);
+  r.Field("stats_sorted_count").UInts(&stats.sorted_count);
+  r.Field("stats_random_count").UInts(&stats.random_count);
+  r.Field("stats_sorted_cost").Doubles(&stats.sorted_cost_accrued);
+  r.Field("stats_random_cost").Doubles(&stats.random_cost_accrued);
+  stats.duplicate_random_count = r.Field("stats_duplicate_random").UInt();
+  r.Field("stats_retried").UInts(&stats.retried_attempts);
+  stats.transient_failures = r.Field("stats_transient").UInt();
+  stats.timeout_failures = r.Field("stats_timeout").UInt();
+  stats.abandoned_accesses = r.Field("stats_abandoned").UInt();
+  stats.source_deaths = r.Field("stats_deaths").UInt();
+  r.Field("stats_breaker_trips").UInts(&stats.breaker_trips);
+  stats.breaker_fast_failures = r.Field("stats_breaker_fast_failures").UInt();
+  stats.budget_refusals = r.Field("stats_budget_refusals").UInt();
+  stats.replica_failovers = r.Field("stats_replica_failovers").UInt();
+  stats.hedges_issued = r.Field("stats_hedges_issued").UInt();
+  stats.hedge_wins = r.Field("stats_hedge_wins").UInt();
 
   ReplicaFleetState& fleet = src.fleet_state;
-  NC_RETURN_IF_ERROR(p.Bool("src_has_fleet", &src.has_fleet));
-  NC_RETURN_IF_ERROR(p.Expect("fleet_latency_rng", &fleet.latency_rng_state));
-  NC_RETURN_IF_ERROR(p.PairVec("fleet_rr_cursors", &fleet.rr_cursors));
-  uint64_t slot_count = 0;
-  NC_RETURN_IF_ERROR(p.UInt("fleet_slots", &slot_count));
-  fleet.slots.reserve(static_cast<size_t>(slot_count));
-  for (uint64_t c = 0; c < slot_count; ++c) {
-    std::string value;
-    NC_RETURN_IF_ERROR(p.Expect("fleet_slot", &value));
-    std::istringstream tokens(value);
-    std::vector<std::string> fields;
-    std::string token;
-    while (tokens >> token) fields.push_back(token);
-    if (fields.size() != 20) return Malformed("fleet_slot field count");
-    ReplicaSlotState slot;
+  src.has_fleet = r.Field("src_has_fleet").Flag();
+  fleet.latency_rng_state = r.Field("fleet_latency_rng").Rest();
+  ReadPairs(&r.Field("fleet_rr_cursors"), &fleet.rr_cursors);
+  fleet.slots.resize(static_cast<size_t>(r.CountField("fleet_slots", 2)));
+  for (ReplicaSlotState& slot : fleet.slots) {
+    RecordCursor& c = r.Field("fleet_slot");
     ReplicaRuntime& rt = slot.runtime;
-    size_t f = 0;
-    const auto next_size = [&](size_t* out) {
-      uint64_t v = 0;
-      if (!ParseU64(fields[f++], &v)) return false;
-      *out = static_cast<size_t>(v);
-      return true;
-    };
-    const auto next_f64 = [&](double* out) {
-      return ParseF64(fields[f++], out);
-    };
-    const auto next_flag = [&](bool* out) {
-      uint64_t v = 0;
-      if (!ParseU64(fields[f++], &v) || v > 1) return false;
-      *out = v == 1;
-      return true;
-    };
-    uint64_t predicate = 0;
-    const bool ok = ParseU64(fields[f++], &predicate) &&
-                    next_size(&slot.replica) &&
-                    next_size(&rt.breaker_consecutive) &&
-                    next_flag(&rt.breaker_open) &&
-                    next_f64(&rt.breaker_open_until) && next_flag(&rt.dead) &&
-                    next_flag(&rt.has_ewma) && next_f64(&rt.ewma_latency) &&
-                    next_size(&rt.served) && next_size(&rt.failovers) &&
-                    next_size(&rt.breaker_trips) &&
-                    next_size(&rt.hedges_issued) &&
-                    next_size(&rt.hedge_wins) && next_f64(&rt.cost_accrued) &&
-                    next_size(&rt.latency_count) &&
-                    next_f64(&rt.latency_sum) && next_f64(&rt.latency_min) &&
-                    next_f64(&rt.latency_max) &&
-                    next_size(&slot.injector_attempts) &&
-                    next_size(&slot.injector_script_pos);
-    if (!ok) return Malformed("fleet_slot entry");
-    slot.predicate = static_cast<PredicateId>(predicate);
-    NC_RETURN_IF_ERROR(
-        p.Expect("fleet_slot_rng", &slot.injector_rng_state));
-    fleet.slots.push_back(std::move(slot));
+    slot.predicate = c.UIntAs<PredicateId>();
+    slot.replica = c.UInt();
+    rt.breaker_consecutive = c.UInt();
+    rt.breaker_open = c.Flag();
+    rt.breaker_open_until = c.Double();
+    rt.dead = c.Flag();
+    rt.has_ewma = c.Flag();
+    rt.ewma_latency = c.Double();
+    rt.served = c.UInt();
+    rt.failovers = c.UInt();
+    rt.breaker_trips = c.UInt();
+    rt.hedges_issued = c.UInt();
+    rt.hedge_wins = c.UInt();
+    rt.cost_accrued = c.Double();
+    rt.latency_count = c.UInt();
+    rt.latency_sum = c.Double();
+    rt.latency_min = c.Double();
+    rt.latency_max = c.Double();
+    slot.injector_attempts = c.UInt();
+    slot.injector_script_pos = c.UInt();
+    slot.injector_rng_state = r.Field("fleet_slot_rng").Rest();
   }
-  if (!p.AtEnd()) return Malformed("trailing content");
+  NC_RETURN_IF_ERROR(r.Finish());
   *out = std::move(ck);
   return Status::OK();
 }

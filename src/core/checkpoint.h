@@ -9,12 +9,12 @@
 // NCEngine::Resume continues the run with *zero re-issued accesses* and
 // a final answer bit-identical to the uninterrupted run's.
 //
-// The serialized form is a versioned, line-oriented text format in the
-// spirit of access/trace_format.h: a "ncckpt <version>" header followed
-// by fixed-order `key value` lines. Doubles are written as C hexfloats
-// ("%a"), so every value - including +-inf - round-trips byte-exactly;
-// SerializeCheckpoint and ParseCheckpoint invert each other exactly, and
-// serializing a parsed checkpoint reproduces the input byte for byte.
+// The serialized form is a "ncckpt <version>" document in the shared
+// record grammar of common/record_text.h, with fixed-order `key value`
+// records. Doubles are written as C hexfloats, so every value - including
+// +-inf - round-trips byte-exactly; SerializeCheckpoint and
+// ParseCheckpoint invert each other exactly, and serializing a parsed
+// checkpoint reproduces the input byte for byte.
 //
 // What a checkpoint is NOT: configuration. The dataset, scenario,
 // scoring function, policy type/config, retry/budget/breaker policies,
@@ -87,8 +87,9 @@ inline constexpr uint32_t kEngineCheckpointVersion = 2;
 // Serializes to the versioned text format described above.
 std::string SerializeCheckpoint(const EngineCheckpoint& checkpoint);
 
-// Parses SerializeCheckpoint output. InvalidArgument on a malformed or
-// version-incompatible document; *out is only written on success.
+// Parses SerializeCheckpoint output. InvalidArgument naming the line
+// ("ncckpt line N: ...") on a malformed or version-incompatible document;
+// *out is only written on success.
 Status ParseCheckpoint(const std::string& text, EngineCheckpoint* out);
 
 }  // namespace nc

@@ -1,67 +1,18 @@
 #include "playbook/scenario.h"
 
 #include <cmath>
+#include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/numeric.h"
+#include "common/record_text.h"
 
 namespace nc::playbook {
 namespace {
-
-// --- Token helpers, in the nchub house style --------------------------
-
-std::vector<std::string_view> SplitTokens(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() && line[pos] == ' ') ++pos;
-    size_t start = pos;
-    while (pos < line.size() && line[pos] != ' ') ++pos;
-    if (pos > start) tokens.push_back(line.substr(start, pos - start));
-  }
-  return tokens;
-}
-
-// Walks one record's tokens; every Take* reports failure by setting
-// `failed` (sticky), so callers can chain reads and check once.
-struct TokenCursor {
-  const std::vector<std::string_view>& tokens;
-  size_t next = 1;  // Token 0 is the record key.
-  bool failed = false;
-
-  bool Done() const { return failed || next == tokens.size(); }
-
-  std::string_view TakeToken() {
-    if (failed || next >= tokens.size()) {
-      failed = true;
-      return {};
-    }
-    return tokens[next++];
-  }
-
-  uint64_t TakeUInt() {
-    uint64_t v = 0;
-    std::string_view tok = TakeToken();
-    if (failed || !ParseUInt64(tok, &v)) failed = true;
-    return v;
-  }
-
-  double TakeDouble() {
-    double v = 0.0;
-    std::string_view tok = TakeToken();
-    if (failed || !ParseDouble(tok, &v)) failed = true;
-    return v;
-  }
-
-  bool TakeBool() {
-    uint64_t v = TakeUInt();
-    if (v > 1) failed = true;
-    return v == 1;
-  }
-};
 
 bool ValidNameToken(std::string_view name) {
   if (name.empty()) return false;
@@ -72,16 +23,6 @@ bool ValidNameToken(std::string_view name) {
     if (!ok) return false;
   }
   return true;
-}
-
-void AppendHex(std::string* out, double v) {
-  out->push_back(' ');
-  out->append(FormatHexDouble(v));
-}
-
-void AppendUInt(std::string* out, uint64_t v) {
-  out->push_back(' ');
-  out->append(std::to_string(v));
 }
 
 bool ZeroProfile(const FaultProfile& p) {
@@ -332,134 +273,51 @@ std::string ScenarioSpec::Signature() const {
 }
 
 std::string ScenarioSpec::Serialize() const {
-  // Records in sorted key order; optional records (groups/pages/quota/
-  // replica/srg) are omitted when empty so the canonical form is minimal
-  // and parse(serialize(s)) == s holds byte for byte.
-  std::string out = "ncplay 1\n";
-
-  out += "budget";
-  AppendHex(&out, budget.max_cost);
-  AppendHex(&out, budget.deadline);
-  out += "\n";
-
-  if (cache_enabled) {
-    out += "cache";
-    AppendUInt(&out, 1);
-    AppendHex(&out, cache_hit_cost);
-    out += "\n";
-  }
-
-  out += "cost";
-  AppendUInt(&out, num_predicates);
+  // Records in sorted key order; optional records (cache/groups/pages/
+  // quota/replica/srg) are omitted when empty so the canonical form is
+  // minimal and parse(serialize(s)) == s holds byte for byte.
+  RecordWriter w("ncplay", 1);
+  w.Record("budget").Double(budget.max_cost).Double(budget.deadline);
+  if (cache_enabled) w.Record("cache").Flag(true).Double(cache_hit_cost);
+  w.Record("cost").UInt(num_predicates);
   for (size_t i = 0; i < num_predicates; ++i) {
-    AppendHex(&out, sorted_cost[i]);
-    AppendHex(&out, random_cost[i]);
+    w.Double(sorted_cost[i]).Double(random_cost[i]);
   }
-  out += "\n";
-
-  out += "data";
-  AppendUInt(&out, num_objects);
-  AppendUInt(&out, num_predicates);
-  out.push_back(' ');
-  out += ScoreDistributionName(distribution);
-  AppendHex(&out, correlation);
-  AppendUInt(&out, data_seed);
-  out += "\n";
-
-  out += "dist";
-  AppendHex(&out, gaussian_mean);
-  AppendHex(&out, gaussian_stddev);
-  AppendHex(&out, zipf_skew);
-  out += "\n";
-
-  out += "fault";
-  AppendHex(&out, fault.transient_rate);
-  AppendHex(&out, fault.timeout_rate);
-  AppendHex(&out, fault.death_rate);
-  AppendUInt(&out, fault.die_after_attempts);
-  out += "\n";
-
-  if (!attribute_groups.empty()) {
-    out += "groups";
-    AppendUInt(&out, attribute_groups.size());
-    for (int g : attribute_groups) {
-      AppendUInt(&out, static_cast<uint64_t>(g));
-    }
-    out += "\n";
-  }
-
-  out += "hedge";
-  AppendHex(&out, hedge_delay);
-  AppendUInt(&out, adaptive_hedge ? 1 : 0);
-  out += "\n";
-
-  out += "kill";
-  AppendUInt(&out, kill_at_access);
-  out += "\n";
-
-  out += "name ";
-  out += name;
-  out += "\n";
-
-  if (!sorted_page_size.empty()) {
-    out += "pages";
-    AppendUInt(&out, sorted_page_size.size());
-    for (size_t b : sorted_page_size) AppendUInt(&out, b);
-    out += "\n";
-  }
-
-  out += "query ";
-  out += ScoringKindName(scoring);
-  AppendUInt(&out, k);
-  out += "\n";
-
+  w.Record("data").UInt(num_objects).UInt(num_predicates);
+  w.Token(ScoreDistributionName(distribution)).Double(correlation);
+  w.UInt(data_seed);
+  w.Record("dist").Double(gaussian_mean).Double(gaussian_stddev);
+  w.Double(zipf_skew);
+  w.Record("fault").Double(fault.transient_rate).Double(fault.timeout_rate);
+  w.Double(fault.death_rate).UInt(fault.die_after_attempts);
+  if (!attribute_groups.empty()) w.Record("groups").UInts(attribute_groups);
+  w.Record("hedge").Double(hedge_delay).Flag(adaptive_hedge);
+  w.Record("kill").UInt(kill_at_access);
+  w.Record("name").Token(name);
+  if (!sorted_page_size.empty()) w.Record("pages").UInts(sorted_page_size);
+  w.Record("query").Token(ScoringKindName(scoring)).UInt(k);
   if (!budget.predicate_quota.empty()) {
-    out += "quota";
-    AppendUInt(&out, budget.predicate_quota.size());
-    for (size_t q : budget.predicate_quota) AppendUInt(&out, q);
-    out += "\n";
+    w.Record("quota").UInts(budget.predicate_quota);
   }
-
   for (size_t r = 0; r < replicas.size(); ++r) {
     const ReplicaSpec& replica = replicas[r];
-    out += "replica";
-    AppendUInt(&out, r);
-    AppendHex(&out, replica.cost_multiplier);
-    AppendHex(&out, replica.latency.multiplier);
-    AppendHex(&out, replica.latency.jitter);
-    AppendHex(&out, replica.latency.tail_probability);
-    AppendHex(&out, replica.latency.tail_multiplier);
-    AppendHex(&out, replica.faults.transient_rate);
-    AppendHex(&out, replica.faults.timeout_rate);
-    AppendHex(&out, replica.faults.death_rate);
-    AppendUInt(&out, replica.faults.die_after_attempts);
-    out += "\n";
+    w.Record("replica").UInt(r).Double(replica.cost_multiplier);
+    w.Double(replica.latency.multiplier).Double(replica.latency.jitter);
+    w.Double(replica.latency.tail_probability);
+    w.Double(replica.latency.tail_multiplier);
+    w.Double(replica.faults.transient_rate);
+    w.Double(replica.faults.timeout_rate).Double(replica.faults.death_rate);
+    w.UInt(replica.faults.die_after_attempts);
   }
-
-  out += "routing ";
-  out += RoutingPolicyName(routing);
-  out += "\n";
-
-  out += "seeds";
-  AppendUInt(&out, fault_seed);
-  AppendUInt(&out, jitter_seed);
-  AppendUInt(&out, fleet_seed);
-  out += "\n";
-
+  w.Record("routing").Token(RoutingPolicyName(routing));
+  w.Record("seeds").UInt(fault_seed).UInt(jitter_seed).UInt(fleet_seed);
   if (!srg_depths.empty()) {
-    out += "srg";
-    AppendUInt(&out, srg_depths.size());
-    for (double d : srg_depths) AppendHex(&out, d);
-    for (PredicateId i : srg_schedule) AppendUInt(&out, i);
-    out += "\n";
+    w.Record("srg").Doubles(srg_depths);
+    for (const PredicateId i : srg_schedule) w.UInt(i);
   }
-
-  out += "workers";
-  AppendUInt(&out, workers);
-  out += "\n";
-
-  out += "end\n";
-  return out;
+  w.Record("workers").UInt(workers);
+  w.Record("end");
+  return w.Finish();
 }
 
 Status ParseScenario(const std::string& text, ScenarioSpec* out) {
@@ -467,277 +325,127 @@ Status ParseScenario(const std::string& text, ScenarioSpec* out) {
   // document, its footer, and semantic validation all succeed.
   ScenarioSpec spec;
   spec.name.clear();
+  RecordReader r("ncplay", text);
+  uint64_t version = 0;
+  NC_RETURN_IF_ERROR(r.Header({1}, &version));
 
-  auto fail = [](size_t line_no, const std::string& why) {
-    return Status::InvalidArgument("ncplay line " + std::to_string(line_no) +
-                                   ": " + why);
-  };
-
-  bool saw_header = false;
-  bool saw_end = false;
-  bool saw_budget = false, saw_cache = false;
-  bool saw_cost = false, saw_data = false;
-  bool saw_dist = false, saw_fault = false, saw_groups = false;
-  bool saw_hedge = false, saw_kill = false, saw_name = false;
-  bool saw_pages = false, saw_query = false, saw_quota = false;
-  bool saw_routing = false, saw_seeds = false, saw_srg = false;
-  bool saw_workers = false;
-
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      if (pos == text.size()) break;
-      return fail(line_no + 1, "missing trailing newline");
+  // Every record but "replica" appears at most once.
+  std::set<std::string, std::less<>> seen;
+  RecordCursor c;
+  for (;;) {
+    if (r.AtEnd()) return r.FailAtEnd("missing \"end\"");
+    NC_RETURN_IF_ERROR(r.Next(&c));
+    const std::string key(c.key());
+    if (key == "end") break;
+    if (key != "replica" && !seen.insert(key).second) {
+      return r.Fail("duplicate " + key);
     }
-    std::string_view line(text.data() + pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-
-    if (!saw_header) {
-      if (line != "ncplay 1") {
-        return fail(line_no, "expected header \"ncplay 1\"");
-      }
-      saw_header = true;
-      continue;
-    }
-    if (saw_end) return fail(line_no, "content after \"end\"");
-    if (line == "end") {
-      saw_end = true;
-      continue;
-    }
-
-    std::vector<std::string_view> tokens = SplitTokens(line);
-    if (tokens.empty()) return fail(line_no, "empty record");
-    std::string_view key = tokens[0];
-    TokenCursor cur{tokens};
-
-    auto duplicate = [&](bool seen) { return seen; };
-
     if (key == "budget") {
-      if (duplicate(saw_budget)) return fail(line_no, "duplicate budget");
-      saw_budget = true;
-      double max_cost = cur.TakeDouble();
-      double deadline = cur.TakeDouble();
-      if (!cur.Done()) return fail(line_no, "malformed budget record");
-      spec.budget.max_cost = max_cost;
-      spec.budget.deadline = deadline;
+      spec.budget.max_cost = c.Double();
+      spec.budget.deadline = c.Double();
     } else if (key == "cache") {
-      if (duplicate(saw_cache)) return fail(line_no, "duplicate cache");
-      saw_cache = true;
-      bool enabled = cur.TakeBool();
-      double hit_cost = cur.TakeDouble();
-      if (!cur.Done()) return fail(line_no, "malformed cache record");
-      spec.cache_enabled = enabled;
-      spec.cache_hit_cost = hit_cost;
+      spec.cache_enabled = c.Flag();
+      spec.cache_hit_cost = c.Double();
     } else if (key == "cost") {
-      if (duplicate(saw_cost)) return fail(line_no, "duplicate cost");
-      saw_cost = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed cost arity");
-      }
-      std::vector<double> sorted(m), random(m);
+      const uint64_t m = c.Count(2);
+      spec.sorted_cost.resize(m);
+      spec.random_cost.resize(m);
       for (uint64_t i = 0; i < m; ++i) {
-        sorted[i] = cur.TakeDouble();
-        random[i] = cur.TakeDouble();
+        spec.sorted_cost[i] = c.Double();
+        spec.random_cost[i] = c.Double();
       }
-      if (!cur.Done()) return fail(line_no, "malformed cost record");
-      spec.sorted_cost = std::move(sorted);
-      spec.random_cost = std::move(random);
     } else if (key == "data") {
-      if (duplicate(saw_data)) return fail(line_no, "duplicate data");
-      saw_data = true;
-      uint64_t objects = cur.TakeUInt();
-      uint64_t predicates = cur.TakeUInt();
-      std::string_view dist_name = cur.TakeToken();
-      ScoreDistribution dist = ScoreDistribution::kUniform;
-      if (cur.failed || !ScoreDistributionFromName(dist_name, &dist)) {
-        return fail(line_no, "unknown score distribution");
+      spec.num_objects = c.UInt();
+      spec.num_predicates = c.UInt();
+      const std::string_view dist = c.Token();
+      if (c.ok() && !ScoreDistributionFromName(dist, &spec.distribution)) {
+        return r.Fail("unknown score distribution");
       }
-      double correlation = cur.TakeDouble();
-      uint64_t seed = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed data record");
-      spec.num_objects = objects;
-      spec.num_predicates = predicates;
-      spec.distribution = dist;
-      spec.correlation = correlation;
-      spec.data_seed = seed;
+      spec.correlation = c.Double();
+      spec.data_seed = c.UInt();
     } else if (key == "dist") {
-      if (duplicate(saw_dist)) return fail(line_no, "duplicate dist");
-      saw_dist = true;
-      double mean = cur.TakeDouble();
-      double stddev = cur.TakeDouble();
-      double skew = cur.TakeDouble();
-      if (!cur.Done()) return fail(line_no, "malformed dist record");
-      spec.gaussian_mean = mean;
-      spec.gaussian_stddev = stddev;
-      spec.zipf_skew = skew;
+      spec.gaussian_mean = c.Double();
+      spec.gaussian_stddev = c.Double();
+      spec.zipf_skew = c.Double();
     } else if (key == "fault") {
-      if (duplicate(saw_fault)) return fail(line_no, "duplicate fault");
-      saw_fault = true;
-      FaultProfile profile;
-      profile.transient_rate = cur.TakeDouble();
-      profile.timeout_rate = cur.TakeDouble();
-      profile.death_rate = cur.TakeDouble();
-      profile.die_after_attempts = static_cast<size_t>(cur.TakeUInt());
-      if (!cur.Done()) return fail(line_no, "malformed fault record");
-      spec.fault = profile;
+      spec.fault.transient_rate = c.Double();
+      spec.fault.timeout_rate = c.Double();
+      spec.fault.death_rate = c.Double();
+      spec.fault.die_after_attempts = c.UInt();
     } else if (key == "groups") {
-      if (duplicate(saw_groups)) return fail(line_no, "duplicate groups");
-      saw_groups = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed groups arity");
-      }
-      std::vector<int> groups(m);
-      for (uint64_t i = 0; i < m; ++i) {
-        groups[i] = static_cast<int>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed groups record");
-      spec.attribute_groups = std::move(groups);
+      c.UInts(&spec.attribute_groups);
+      if (spec.attribute_groups.empty()) c.Fail();
     } else if (key == "hedge") {
-      if (duplicate(saw_hedge)) return fail(line_no, "duplicate hedge");
-      saw_hedge = true;
-      double delay = cur.TakeDouble();
-      bool adaptive = cur.TakeBool();
-      if (!cur.Done()) return fail(line_no, "malformed hedge record");
-      spec.hedge_delay = delay;
-      spec.adaptive_hedge = adaptive;
+      spec.hedge_delay = c.Double();
+      spec.adaptive_hedge = c.Flag();
     } else if (key == "kill") {
-      if (duplicate(saw_kill)) return fail(line_no, "duplicate kill");
-      saw_kill = true;
-      uint64_t at = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed kill record");
-      spec.kill_at_access = static_cast<size_t>(at);
+      spec.kill_at_access = c.UInt();
     } else if (key == "name") {
-      if (duplicate(saw_name)) return fail(line_no, "duplicate name");
-      saw_name = true;
-      std::string_view name = cur.TakeToken();
-      if (cur.failed || !cur.Done() || !ValidNameToken(name)) {
-        return fail(line_no, "malformed name record");
-      }
-      spec.name = std::string(name);
+      spec.name = std::string(c.Token());
+      if (!ValidNameToken(spec.name)) c.Fail();
     } else if (key == "pages") {
-      if (duplicate(saw_pages)) return fail(line_no, "duplicate pages");
-      saw_pages = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed pages arity");
-      }
-      std::vector<size_t> pages(m);
-      for (uint64_t i = 0; i < m; ++i) {
-        pages[i] = static_cast<size_t>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed pages record");
-      spec.sorted_page_size = std::move(pages);
+      c.UInts(&spec.sorted_page_size);
+      if (spec.sorted_page_size.empty()) c.Fail();
     } else if (key == "query") {
-      if (duplicate(saw_query)) return fail(line_no, "duplicate query");
-      saw_query = true;
-      std::string_view kind_name = cur.TakeToken();
-      ScoringKind kind = ScoringKind::kAverage;
-      if (cur.failed || !ScoringKindFromName(kind_name, &kind)) {
-        return fail(line_no, "unknown scoring function");
+      const std::string_view kind = c.Token();
+      if (c.ok() && !ScoringKindFromName(kind, &spec.scoring)) {
+        return r.Fail("unknown scoring function");
       }
-      uint64_t k = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed query record");
-      spec.scoring = kind;
-      spec.k = static_cast<size_t>(k);
+      spec.k = c.UInt();
     } else if (key == "quota") {
-      if (duplicate(saw_quota)) return fail(line_no, "duplicate quota");
-      saw_quota = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed quota arity");
-      }
-      std::vector<size_t> quota(m);
-      for (uint64_t i = 0; i < m; ++i) {
-        quota[i] = static_cast<size_t>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed quota record");
-      spec.budget.predicate_quota = std::move(quota);
+      c.UInts(&spec.budget.predicate_quota);
+      if (spec.budget.predicate_quota.empty()) c.Fail();
     } else if (key == "replica") {
       // Replica records must arrive in index order 0, 1, 2, ... so the
       // canonical document admits exactly one serialization.
-      uint64_t index = cur.TakeUInt();
-      if (cur.failed || index != spec.replicas.size()) {
-        return fail(line_no, "replica records must be sequential from 0");
+      const uint64_t index = c.UInt();
+      if (c.ok() && index != spec.replicas.size()) {
+        return r.Fail("replica records must be sequential from 0");
       }
-      ReplicaSpec replica;
-      replica.cost_multiplier = cur.TakeDouble();
-      replica.latency.multiplier = cur.TakeDouble();
-      replica.latency.jitter = cur.TakeDouble();
-      replica.latency.tail_probability = cur.TakeDouble();
-      replica.latency.tail_multiplier = cur.TakeDouble();
-      replica.faults.transient_rate = cur.TakeDouble();
-      replica.faults.timeout_rate = cur.TakeDouble();
-      replica.faults.death_rate = cur.TakeDouble();
-      replica.faults.die_after_attempts = static_cast<size_t>(cur.TakeUInt());
-      if (!cur.Done()) return fail(line_no, "malformed replica record");
-      spec.replicas.push_back(std::move(replica));
+      ReplicaSpec& replica = spec.replicas.emplace_back();
+      replica.cost_multiplier = c.Double();
+      replica.latency.multiplier = c.Double();
+      replica.latency.jitter = c.Double();
+      replica.latency.tail_probability = c.Double();
+      replica.latency.tail_multiplier = c.Double();
+      replica.faults.transient_rate = c.Double();
+      replica.faults.timeout_rate = c.Double();
+      replica.faults.death_rate = c.Double();
+      replica.faults.die_after_attempts = c.UInt();
     } else if (key == "routing") {
-      if (duplicate(saw_routing)) return fail(line_no, "duplicate routing");
-      saw_routing = true;
-      std::string_view policy_name = cur.TakeToken();
-      RoutingPolicy policy = RoutingPolicy::kPrimaryOnly;
-      if (cur.failed || !cur.Done() ||
-          !RoutingPolicyFromName(policy_name, &policy)) {
-        return fail(line_no, "unknown routing policy");
+      const std::string_view policy = c.Token();
+      if (c.ok() && !RoutingPolicyFromName(policy, &spec.routing)) {
+        return r.Fail("unknown routing policy");
       }
-      spec.routing = policy;
     } else if (key == "seeds") {
-      if (duplicate(saw_seeds)) return fail(line_no, "duplicate seeds");
-      saw_seeds = true;
-      uint64_t fault_seed = cur.TakeUInt();
-      uint64_t jitter_seed = cur.TakeUInt();
-      uint64_t fleet_seed = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed seeds record");
-      spec.fault_seed = fault_seed;
-      spec.jitter_seed = jitter_seed;
-      spec.fleet_seed = fleet_seed;
+      spec.fault_seed = c.UInt();
+      spec.jitter_seed = c.UInt();
+      spec.fleet_seed = c.UInt();
     } else if (key == "srg") {
-      if (duplicate(saw_srg)) return fail(line_no, "duplicate srg");
-      saw_srg = true;
-      uint64_t m = cur.TakeUInt();
-      if (cur.failed || m == 0 || m > 1u << 20) {
-        return fail(line_no, "malformed srg arity");
-      }
-      std::vector<double> depths(m);
-      std::vector<PredicateId> schedule(m);
-      for (uint64_t i = 0; i < m; ++i) depths[i] = cur.TakeDouble();
-      for (uint64_t i = 0; i < m; ++i) {
-        schedule[i] = static_cast<PredicateId>(cur.TakeUInt());
-      }
-      if (!cur.Done()) return fail(line_no, "malformed srg record");
-      spec.srg_depths = std::move(depths);
-      spec.srg_schedule = std::move(schedule);
+      const uint64_t m = c.Count(2);
+      spec.srg_depths.resize(m);
+      spec.srg_schedule.resize(m);
+      for (double& depth : spec.srg_depths) depth = c.Double();
+      for (PredicateId& i : spec.srg_schedule) i = c.UIntAs<PredicateId>();
+      if (m == 0) c.Fail();
     } else if (key == "workers") {
-      if (duplicate(saw_workers)) return fail(line_no, "duplicate workers");
-      saw_workers = true;
-      uint64_t workers = cur.TakeUInt();
-      if (!cur.Done()) return fail(line_no, "malformed workers record");
-      spec.workers = static_cast<size_t>(workers);
+      spec.workers = c.UInt();
     } else {
-      return fail(line_no, "unknown record \"" + std::string(key) + "\"");
+      return r.Fail("unknown record \"" + key + "\"");
+    }
+    if (!c.Done()) return r.Fail("malformed " + key + " record");
+  }
+  if (!c.Done()) return r.Fail("malformed end record");
+  NC_RETURN_IF_ERROR(r.Finish());
+  for (const char* required :
+       {"budget", "cost", "data", "dist", "fault", "hedge", "kill", "name",
+        "query", "routing", "seeds", "workers"}) {
+    if (seen.count(required) == 0) {
+      return r.FailAtEnd(std::string("missing record \"") + required + "\"");
     }
   }
-
-  if (!saw_header) return fail(1, "expected header \"ncplay 1\"");
-  if (!saw_end) return fail(line_no + 1, "missing \"end\"");
-  const std::pair<bool, const char*> required[] = {
-      {saw_budget, "budget"}, {saw_cost, "cost"},       {saw_data, "data"},
-      {saw_dist, "dist"},     {saw_fault, "fault"},     {saw_hedge, "hedge"},
-      {saw_kill, "kill"},     {saw_name, "name"},       {saw_query, "query"},
-      {saw_routing, "routing"}, {saw_seeds, "seeds"},   {saw_workers,
-                                                         "workers"}};
-  for (const auto& [seen, what] : required) {
-    if (!seen) {
-      return fail(line_no + 1, "missing record \"" + std::string(what) + "\"");
-    }
-  }
-
-  NC_RETURN_IF_ERROR(spec.Validate());
+  const Status valid = spec.Validate();
+  if (!valid.ok()) return r.Fail("invalid scenario: " + valid.message());
   *out = std::move(spec);
   return Status::OK();
 }

@@ -9,11 +9,11 @@
 // the variant generator (playbook/variant.h) perturbs them, and the
 // runner (playbook/runner.h) executes them under invariant oracles.
 //
-// Serialized form: a versioned, line-based, locale-safe text document
-// ("ncplay 1") in the house style of "ncckpt" / "nchub": one `key
-// value...` record per line, keys in sorted order, every double as a
-// C-hexfloat (common/numeric.h - so +-inf cost cells and correlations
-// round-trip byte-exactly), closed by "end". Serialize is canonical and
+// Serialized form: a versioned, locale-safe "ncplay 1" document in the
+// record grammar shared with "ncckpt" / "nchub" (common/record_text.h):
+// one `key value...` record per line, keys in sorted order, every double
+// as a C-hexfloat (so +-inf cost cells and correlations round-trip
+// byte-exactly), closed by "end". Serialize is canonical and
 // deterministic; ParseScenario(Serialize(s)) == s and re-serializing
 // reproduces the input byte for byte (pinned in playbook_test.cc).
 // Parsing is atomic: records accumulate into temporaries and *out is
@@ -161,8 +161,9 @@ struct ScenarioSpec {
 };
 
 // Parses a Serialize() document. InvalidArgument naming the offending
-// line on malformed input ("ncplay line N: ..."), or the semantic
-// validation error; *out is written only on success.
+// line on malformed input ("ncplay line N: ..."); a document that fails
+// semantic validation names its "end" line ("ncplay line N: invalid
+// scenario: ..."). *out is written only on success.
 Status ParseScenario(const std::string& text, ScenarioSpec* out);
 
 }  // namespace nc::playbook

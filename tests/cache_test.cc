@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <clocale>
 #include <future>
 #include <memory>
 #include <optional>
@@ -36,7 +35,6 @@ using cache::AccessCache;
 using cache::CacheConfig;
 using cache::CachedSortedEntry;
 using cache::CacheStatsSnapshot;
-using cache::ParseCacheConfig;
 using cache::RandomLookup;
 using cache::SortedLookup;
 
@@ -48,39 +46,7 @@ Dataset MakeData(uint64_t seed, size_t n = 200, size_t m = 2) {
   return GenerateDataset(g);
 }
 
-// Pins the global C locale for one test and restores it on exit (the
-// locale_test.cc pattern).
-class ScopedLocale {
- public:
-  ScopedLocale() {
-    const char* current = std::setlocale(LC_ALL, nullptr);
-    saved_ = current != nullptr ? current : "C";
-  }
-  ~ScopedLocale() { std::setlocale(LC_ALL, saved_.c_str()); }
-
-  ScopedLocale(const ScopedLocale&) = delete;
-  ScopedLocale& operator=(const ScopedLocale&) = delete;
-
-  bool UseCommaDecimal() {
-    for (const char* name :
-         {"de_DE.UTF-8", "de_DE.utf8", "de_DE", "fr_FR.UTF-8", "fr_FR.utf8",
-          "fr_FR", "it_IT.UTF-8", "es_ES.UTF-8"}) {
-      if (std::setlocale(LC_ALL, name) == nullptr) continue;
-      const std::lconv* conv = std::localeconv();
-      if (conv != nullptr && conv->decimal_point != nullptr &&
-          conv->decimal_point[0] == ',') {
-        return true;
-      }
-    }
-    std::setlocale(LC_ALL, saved_.c_str());
-    return false;
-  }
-
- private:
-  std::string saved_;
-};
-
-// --- Config: validation and the "nccache 1" text form ----------------------
+// --- Config validation -----------------------------------------------------
 
 TEST(CacheConfigTest, Validates) {
   CacheConfig config;
@@ -93,49 +59,6 @@ TEST(CacheConfigTest, Validates) {
   config.random_capacity = 1;
   config.random_ttl = -1.0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CacheConfigTest, RoundTripsByteExactUnderCommaLocale) {
-  ScopedLocale locale;
-  locale.UseCommaDecimal();
-
-  CacheConfig config;
-  config.hit_cost = 0.1;  // Not exactly representable: hexfloat territory.
-  config.random_capacity = 77;
-  config.random_ttl = 2.5;
-  const std::string text = config.Serialize();
-  // The grammar has no ',' anywhere: one means a locale-honoring
-  // formatter leaked in.
-  EXPECT_EQ(text.find(','), std::string::npos);
-
-  CacheConfig parsed;
-  ASSERT_TRUE(ParseCacheConfig(text, &parsed).ok());
-  EXPECT_EQ(parsed.hit_cost, config.hit_cost);  // Bit-exact.
-  EXPECT_EQ(parsed.random_capacity, config.random_capacity);
-  EXPECT_EQ(parsed.random_ttl, config.random_ttl);
-  EXPECT_EQ(parsed.Serialize(), text);
-}
-
-TEST(CacheConfigTest, ParseRejectsMalformedByLineNumber) {
-  CacheConfig out;
-  out.random_capacity = 123;  // Canary: untouched on failure.
-
-  const Status bad_header = ParseCacheConfig("nccache 2\n", &out);
-  EXPECT_EQ(bad_header.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_header.message().find("line 1"), std::string::npos);
-
-  const Status truncated = ParseCacheConfig("nccache 1\nhit_cost 0x0p+0\n", &out);
-  EXPECT_EQ(truncated.code(), StatusCode::kInvalidArgument);
-
-  const Status comma = ParseCacheConfig(
-      "nccache 1\nhit_cost 0,5\ncapacity 4\nttl 0x0p+0\nend\n", &out);
-  EXPECT_EQ(comma.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(comma.message().find("line 2"), std::string::npos);
-
-  const Status invalid = ParseCacheConfig(
-      "nccache 1\nhit_cost 0x0p+0\ncapacity 0\nttl 0x0p+0\nend\n", &out);
-  EXPECT_EQ(invalid.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(out.random_capacity, 123u);  // *out untouched throughout.
 }
 
 // --- Sharing + billing through the SourceSet seam ---------------------------

@@ -141,6 +141,36 @@ TEST(CheckpointTest, ParseRejectsCorruptedText) {
             StatusCode::kInvalidArgument);
 }
 
+// A record count that the rest of the document cannot hold is refused
+// with its line number before anything is allocated for it.
+TEST(CheckpointTest, ParseRefusesCountsTheDocumentCannotHold) {
+  const Dataset data = MakeData(32);
+  AverageFunction avg(3);
+  const RunOutcome run =
+      RunWithKill(data, avg, 3, /*kill=*/5, /*injector=*/nullptr);
+  ASSERT_TRUE(run.checkpoint.has_value());
+  const std::string text = SerializeCheckpoint(*run.checkpoint);
+
+  for (const std::string key : {"pool", "fleet_slots"}) {
+    const size_t at = text.find("\n" + key + " ");
+    ASSERT_NE(at, std::string::npos) << key;
+    const size_t eol = text.find('\n', at + 1);
+    const size_t line =
+        2 + static_cast<size_t>(std::count(text.begin(), text.begin() + at,
+                                           '\n'));
+    const std::string huge = text.substr(0, at + 1) + key +
+                             " 4611686018427387904" + text.substr(eol);
+    EngineCheckpoint parsed = *run.checkpoint;
+    const Status status = ParseCheckpoint(huge, &parsed);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_EQ(status.message().rfind(
+                  "ncckpt line " + std::to_string(line) + ": ", 0),
+              0u)
+        << status;
+    EXPECT_EQ(SerializeCheckpoint(parsed), text) << key;  // Untouched.
+  }
+}
+
 // The tentpole proof: kill the query after every single access, resume
 // each snapshot on a fresh engine, and demand the uninterrupted run's
 // exact answer, cost, and access sequence every time. Every checkpoint

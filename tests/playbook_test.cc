@@ -127,67 +127,9 @@ TEST(ScenarioFormatTest, RejectsCorruptLineByNumber) {
   EXPECT_EQ(out.Serialize(), before);
 }
 
-// Corruption fuzz: drop, truncate, or scramble every line of a rich
-// document in turn. Each mutation must either fail with an "ncplay"
-// diagnostic and leave *out untouched, or parse to a spec that still
-// validates - never a silent half-parsed state.
-TEST(ScenarioFormatTest, CorruptionFuzzNeverHalfParses) {
-  const std::string text = FancySpec().Serialize();
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    const size_t nl = text.find('\n', start);
-    lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-
-  // A mutation either fails - with a diagnostic (an "ncplay line N"
-  // parse error or the semantic validation message) and *out untouched -
-  // or parses to a spec that still validates. Never a half-parsed state.
-  const auto check = [](const std::string& doc) {
-    ScenarioSpec out = SmallSpec("sentinel");
-    const std::string before = out.Serialize();
-    const Status status = ParseScenario(doc, &out);
-    if (status.ok()) {
-      EXPECT_TRUE(out.Validate().ok()) << doc;
-    } else {
-      EXPECT_FALSE(status.message().empty()) << doc;
-      EXPECT_EQ(out.Serialize(), before) << doc;
-    }
-  };
-  // Mutations that break a *line* (not just semantics) name the line.
-  {
-    ScenarioSpec out;
-    const Status status = ParseScenario("ncplay 1\nname x y\nend\n", &out);
-    ASSERT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("ncplay line 2"), std::string::npos)
-        << status;
-  }
-
-  for (size_t i = 0; i < lines.size(); ++i) {
-    std::string dropped;
-    std::string truncated;
-    std::string scrambled;
-    for (size_t j = 0; j < lines.size(); ++j) {
-      if (j != i) dropped += lines[j] + "\n";
-      if (j == i) {
-        truncated += lines[j].substr(0, lines[j].size() / 2) + "\n";
-        scrambled += lines[j] + " 0xnot-a-number\n";
-      } else {
-        truncated += lines[j] + "\n";
-        scrambled += lines[j] + "\n";
-      }
-    }
-    check(dropped);
-    check(truncated);
-    check(scrambled);
-    // Truncate the whole document at this line: the missing "end" footer
-    // (or header) must be diagnosed.
-    std::string cut;
-    for (size_t j = 0; j < i; ++j) cut += lines[j] + "\n";
-    check(cut);
-  }
-}
+// The corruption fuzz over FancySpec's document (kAllRecordsScenario
+// there) and the recorded chaos variants lives in record_text_test.cc,
+// next to the other formats'.
 
 TEST(ScenarioValidateTest, RejectsContradictorySpecs) {
   ScenarioSpec kill_with_workers = SmallSpec("kw");

@@ -561,21 +561,41 @@ TEST(TelemetryHubPersistTest, ParseErrorsNameTheLineAndLeaveHubUntouched) {
   FeedRandomly(&hub, 3);
   const std::string before = hub.Serialize();
 
-  const char* corrupt[] = {
-      "",                                     // No header.
-      "nchub 3\nend\n",                       // Future version.
-      "nchub 1\nqueries 0\n",                 // Missing end.
-      "nchub 1\nqueries 0\nend\ntrailing\n",  // Records after end.
-      "nchub 1\nqueries 0\nwhat 1 2\nend\n",  // Unknown record.
-      "nchub 1\nqueries zero\nend\n",         // Non-numeric token.
-      "nchub 1\nqueries 0 0\nend\n",          // Trailing token.
-      "nchub 1\ncost 0 2 0x1p+0\nend\n",      // Access type out of range.
+  // A hedge ring whose cursor and count disagree with its samples: a
+  // later feed would write past the ring.
+  std::string bad_ring = "nchub 2\nqueries 0\nhedge 0 0 1000 64 64";
+  for (int i = 0; i < 64; ++i) bad_ring += " 0x1p+0";
+  bad_ring += "\nend\n";
+
+  const struct {
+    std::string doc;
+    const char* line;
+  } corrupt[] = {
+      {"", "nchub line 1: "},                                // No header.
+      {"nchub 3\nend\n", "nchub line 1: "},                  // Future version.
+      {"nchub 1\nqueries 0\n", "nchub line 3: "},            // Missing end.
+      {"nchub 1\nqueries 0\nend\ntrailing\n", "nchub line 4: "},
+      {"nchub 1\nqueries 0\nwhat 1 2\nend\n", "nchub line 3: "},
+      {"nchub 1\nqueries zero\nend\n", "nchub line 2: "},   // Non-numeric.
+      {"nchub 1\nqueries 0 0\nend\n", "nchub line 2: "},    // Trailing token.
+      {"nchub 1\ncost 0 2 0x1p+0\nend\n", "nchub line 2: "},  // Access type.
+      {bad_ring, "nchub line 3: "},
+      {"nchub 2\nhedge 0 0 1 3 1 0x1p+0\nend\n", "nchub line 2: "},
+      {"nchub 2\nhedge 0 0 1 1 1 nan\nend\n", "nchub line 2: "},  // NaN.
+      {"nchub 2\nhealth 0 4294967296 0 0 0x0p+0 0 0 0x0p+0\nend\n",
+       "nchub line 2: "},  // Replica index wider than a slot key holds.
+      {"nchub 2\ncost 0 1 0x1p+0\ncost 0 1 0x1p+1\nend\n",
+       "nchub line 3: "},  // Duplicate slot.
   };
-  for (const char* doc : corrupt) {
-    const Status status = hub.Deserialize(doc);
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << doc;
-    EXPECT_EQ(hub.Serialize(), before) << doc;  // State unchanged.
+  for (const auto& test : corrupt) {
+    const Status status = hub.Deserialize(test.doc);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << test.doc;
+    EXPECT_EQ(status.message().rfind(test.line, 0), 0u)
+        << test.doc << " -> " << status;
+    EXPECT_EQ(hub.Serialize(), before) << test.doc;  // State unchanged.
   }
+  // The refused ring never reached the hub, so feeding its slot is safe.
+  hub.ObserveReplicaService(0, 0, 1.0);
 }
 
 TEST(TelemetryHubPersistTest, SaveAndLoadFileRoundTrips) {
