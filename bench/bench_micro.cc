@@ -23,6 +23,7 @@
 
 #include "bench/bench_util.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "core/bound_heap.h"
 #include "core/candidate.h"
 #include "core/engine.h"
@@ -53,11 +54,11 @@ void BM_BoundUpper(benchmark::State& state) {
   AverageFunction avg(m);
   BoundEvaluator bounds(&avg);
   CandidatePool pool(m);
-  Candidate& c = pool.GetOrCreate(0);
-  for (PredicateId i = 0; i < m / 2; ++i) c.SetScore(i, 0.5);
+  const uint32_t slot = pool.GetOrCreate(0);
+  for (PredicateId i = 0; i < m / 2; ++i) pool.SetScore(slot, i, 0.5);
   const std::vector<Score> ceilings(m, 0.8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bounds.Upper(c, ceilings));
+    benchmark::DoNotOptimize(bounds.Upper(pool, slot, ceilings));
   }
 }
 BENCHMARK(BM_BoundUpper)->Arg(2)->Arg(8)->Arg(32);
@@ -70,8 +71,8 @@ void BM_LazyHeapPopReinsert(benchmark::State& state) {
     bounds[u] = 1.0 - static_cast<double>(u) / static_cast<double>(n);
     heap.Push(u, bounds[u]);
   }
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    return bounds[u];
+  const auto fn = [&](const LazyBoundHeap::Entry& e) -> std::optional<Score> {
+    return bounds[e.object];
   };
   for (auto _ : state) {
     benchmark::DoNotOptimize(heap.Verified(10, fn).size());
@@ -79,6 +80,42 @@ void BM_LazyHeapPopReinsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LazyHeapPopReinsert)->Arg(1000)->Arg(100000);
+
+// The refresh pattern of a CPU-bound sorted-access query: n
+// half-evaluated candidates under F = avg, one predicate's ceiling
+// falling per step, and Theorem 1's pop down to the first unsettled
+// entry after each step. One iteration is one query: n pushes, then n
+// steps.
+void BM_LazyHeapCeilingRefresh(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  constexpr size_t kM = 2;
+  AverageFunction avg(kM);
+  Rng rng(99);
+  std::vector<Score> scores(n);
+  for (Score& s : scores) s = rng.Uniform01();
+  const auto never_final = [](const LazyBoundHeap::Entry&) { return false; };
+  for (auto _ : state) {
+    CandidatePool pool(kM);
+    BoundEvaluator bounds(&avg);
+    std::vector<Score> ceilings(kM, kMaxScore);
+    LazyBoundHeap heap;
+    for (ObjectId u = 0; u < n; ++u) {
+      const uint32_t slot = pool.GetOrCreate(u);
+      pool.SetScore(slot, u % kM, scores[u]);
+      heap.Push(u, bounds.Upper(pool, slot, ceilings), slot);
+    }
+    const auto bound_fn =
+        [&](const LazyBoundHeap::Entry& e) -> std::optional<Score> {
+      return bounds.Upper(pool, e.slot, ceilings);
+    };
+    for (size_t step = 0; step < n; ++step) {
+      ceilings[step % kM] -= 1.0 / static_cast<double>(n + 1);
+      benchmark::DoNotOptimize(heap.PopUnsettled(10, bound_fn, never_final));
+      heap.Restore();
+    }
+  }
+}
+BENCHMARK(BM_LazyHeapCeilingRefresh)->Arg(3000);
 
 void BM_NCQueryUniformCosts(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -81,6 +81,9 @@ Status CostModel::ValidateStructure() const {
       attribute_groups.size() != sorted_cost.size()) {
     return Status::InvalidArgument("attribute_groups size mismatch");
   }
+  for (const int group : attribute_groups) {
+    if (group < 0) return Status::InvalidArgument("negative attribute group");
+  }
   return Status::OK();
 }
 

@@ -60,8 +60,8 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         const std::optional<SortedHit> hit = sources->SortedAccess(i);
         if (!hit.has_value()) continue;
         live = true;
-        Candidate& c = pool.GetOrCreate(hit->object);
-        if (!c.IsEvaluated(i)) c.SetScore(i, hit->score);
+        const uint32_t slot = pool.GetOrCreate(hit->object);
+        if (!pool.IsEvaluated(slot, i)) pool.SetScore(slot, i, hit->score);
       }
     }
 
@@ -69,26 +69,25 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
 
     // Probe phase: completely evaluate the most promising incomplete
     // candidate.
-    Candidate* best_incomplete = nullptr;
+    uint32_t best = CandidatePool::kNoSlot;
     Score best_upper = -1.0;
-    for (Candidate& c : pool) {
-      if (c.IsComplete(m)) continue;
-      const Score upper = bounds.Upper(c, ceilings);
+    for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+      if (pool.IsComplete(slot)) continue;
+      const Score upper = bounds.Upper(pool, slot, ceilings);
       if (upper > best_upper ||
-          (upper == best_upper && best_incomplete != nullptr &&
-           c.id > best_incomplete->id)) {
-        best_incomplete = &c;
+          (upper == best_upper && best != CandidatePool::kNoSlot &&
+           pool.id(slot) > pool.id(best))) {
+        best = slot;
         best_upper = upper;
       }
     }
-    if (best_incomplete != nullptr) {
+    if (best != CandidatePool::kNoSlot) {
       for (PredicateId i = 0; i < m; ++i) {
-        if (!best_incomplete->IsEvaluated(i)) {
+        if (!pool.IsEvaluated(best, i)) {
           if (BudgetBarred(*sources, i)) {
             return emit_certified(BudgetBarReason(sources, i));
           }
-          best_incomplete->SetScore(
-              i, sources->RandomAccess(i, best_incomplete->id));
+          pool.SetScore(best, i, sources->RandomAccess(i, pool.id(best)));
         }
       }
     }
@@ -97,12 +96,12 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     // upper bound and the unseen ceiling.
     TopKCollector collector(k);
     Score max_incomplete_upper = -1.0;
-    for (Candidate& c : pool) {
-      if (c.IsComplete(m)) {
-        collector.Offer(c.id, bounds.Exact(c));
+    for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+      if (pool.IsComplete(slot)) {
+        collector.Offer(pool.id(slot), bounds.Exact(pool, slot));
       } else {
-        max_incomplete_upper =
-            std::max(max_incomplete_upper, bounds.Upper(c, ceilings));
+        max_incomplete_upper = std::max(max_incomplete_upper,
+                                        bounds.Upper(pool, slot, ceilings));
       }
     }
     const bool unseen_possible = pool.size() < sources->num_objects();
@@ -112,7 +111,7 @@ Status RunCA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       *out = collector.Take();
       return Status::OK();
     }
-    if (!live && best_incomplete == nullptr) {
+    if (!live && best == CandidatePool::kNoSlot) {
       // Nothing left to read or probe: rank what we have.
       *out = collector.Take();
       return Status::OK();

@@ -57,19 +57,19 @@ CertifiedRow PartialRow(const ScoringFunction& scoring, ObjectId object,
   return out;
 }
 
-void PoolCertifiedRows(CandidatePool& pool, BoundEvaluator& bounds,
+void PoolCertifiedRows(const CandidatePool& pool, BoundEvaluator& bounds,
                        std::span<const Score> ceilings,
                        std::vector<CertifiedRow>* rows) {
-  const size_t m = pool.num_predicates();
   rows->clear();
   rows->reserve(pool.size());
-  for (Candidate& c : pool) {
-    if (c.IsComplete(m)) {
-      const Score exact = bounds.Exact(c);
-      rows->push_back(CertifiedRow{c.id, exact, exact});
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+    const ObjectId id = pool.id(slot);
+    if (pool.IsComplete(slot)) {
+      const Score exact = bounds.Exact(pool, slot);
+      rows->push_back(CertifiedRow{id, exact, exact});
     } else {
-      rows->push_back(
-          CertifiedRow{c.id, bounds.Lower(c), bounds.Upper(c, ceilings)});
+      rows->push_back(CertifiedRow{id, bounds.Lower(pool, slot),
+                                   bounds.Upper(pool, slot, ceilings)});
     }
   }
 }

@@ -58,7 +58,7 @@ CertifiedRow PartialRow(const ScoringFunction& scoring, ObjectId object,
 // Certified rows for every candidate in `pool` (exact for complete
 // candidates, [Lower, Upper-vs-ceilings] otherwise) - shared by the
 // pool-based baselines when a budget bar stops the run.
-void PoolCertifiedRows(CandidatePool& pool, BoundEvaluator& bounds,
+void PoolCertifiedRows(const CandidatePool& pool, BoundEvaluator& bounds,
                        std::span<const Score> ceilings,
                        std::vector<CertifiedRow>* rows);
 

@@ -37,15 +37,12 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   LazyBoundHeap heap;
   const Score initial = scoring.Evaluate(ceilings);
   for (ObjectId u = 0; u < n; ++u) {
-    pool.GetOrCreate(u);
-    heap.Push(u, initial);
+    heap.Push(u, initial, pool.GetOrCreate(u));
   }
 
-  const auto bound_fn = [&](ObjectId u) -> std::optional<Score> {
-    const Candidate* c = pool.Find(u);
-    NC_CHECK(c != nullptr);
-    if (c->IsComplete(m)) return bounds.Exact(*c);
-    return bounds.Upper(*c, ceilings);
+  const auto bound_fn =
+      [&](const LazyBoundHeap::Entry& e) -> std::optional<Score> {
+    return bounds.Current(pool, e.slot, ceilings);
   };
   // The whole universe is seeded into the pool, so no unseen ceiling.
   const auto emit_certified = [&](TerminationReason reason) {
@@ -55,8 +52,8 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     return Status::OK();
   };
 
-  const auto is_complete = [&](ObjectId u) {
-    return pool.Find(u)->IsComplete(m);
+  const auto is_complete = [&](const LazyBoundHeap::Entry& e) {
+    return pool.IsComplete(e.slot);
   };
   while (true) {
     const std::optional<LazyBoundHeap::Entry> next_probe =
@@ -69,13 +66,13 @@ Status RunMPro(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       return Status::OK();
     }
     // Probe the next unevaluated predicate in global-schedule order.
-    Candidate* c = pool.Find(next_probe->object);
+    const uint32_t slot = next_probe->slot;
     for (PredicateId i : order) {
-      if (!c->IsEvaluated(i)) {
+      if (!pool.IsEvaluated(slot, i)) {
         if (BudgetBarred(*sources, i)) {
           return emit_certified(BudgetBarReason(sources, i));
         }
-        c->SetScore(i, sources->RandomAccess(i, c->id));
+        pool.SetScore(slot, i, sources->RandomAccess(i, next_probe->object));
         break;
       }
     }

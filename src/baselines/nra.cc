@@ -27,8 +27,8 @@ bool SortedRound(SourceSet* sources, CandidatePool* pool,
     const std::optional<SortedHit> hit = sources->SortedAccess(i);
     if (!hit.has_value()) continue;
     any = true;
-    Candidate& c = pool->GetOrCreate(hit->object);
-    if (!c.IsEvaluated(i)) c.SetScore(i, hit->score);
+    const uint32_t slot = pool->GetOrCreate(hit->object);
+    if (!pool->IsEvaluated(slot, i)) pool->SetScore(slot, i, hit->score);
   }
   return any;
 }
@@ -36,7 +36,7 @@ bool SortedRound(SourceSet* sources, CandidatePool* pool,
 // The classic halting test: true when the k-th best lower bound dominates
 // every other candidate's upper bound and the unseen ceiling. On success
 // fills `out` with the winners (scores = lower bounds at halt).
-bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
+bool SetOnlyHalted(const SourceSet& sources, const CandidatePool& pool,
                    BoundEvaluator& bounds, size_t k, TopKResult* out) {
   const size_t m = sources.num_predicates();
   std::vector<Score> ceilings(m);
@@ -49,9 +49,9 @@ bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
   };
   std::vector<State> states;
   states.reserve(pool.size());
-  for (Candidate& c : pool) {
-    states.push_back(
-        State{c.id, bounds.Lower(c), bounds.Upper(c, ceilings)});
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+    states.push_back(State{pool.id(slot), bounds.Lower(pool, slot),
+                           bounds.Upper(pool, slot, ceilings)});
   }
   if (states.size() < k) return false;
 
@@ -81,7 +81,7 @@ bool SetOnlyHalted(const SourceSet& sources, CandidatePool& pool,
 
 // Exact-score halting (Theorem 1 shape): true when the k best candidates
 // by upper bound are all complete; fills `out` with their exact scores.
-bool ExactHalted(const SourceSet& sources, CandidatePool& pool,
+bool ExactHalted(const SourceSet& sources, const CandidatePool& pool,
                  BoundEvaluator& bounds, size_t k, TopKResult* out) {
   const size_t m = sources.num_predicates();
   std::vector<Score> ceilings(m);
@@ -94,9 +94,9 @@ bool ExactHalted(const SourceSet& sources, CandidatePool& pool,
   };
   std::vector<State> states;
   states.reserve(pool.size());
-  for (Candidate& c : pool) {
-    states.push_back(
-        State{c.id, bounds.Upper(c, ceilings), c.IsComplete(m)});
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+    states.push_back(State{pool.id(slot), bounds.Upper(pool, slot, ceilings),
+                           pool.IsComplete(slot)});
   }
   const size_t take = std::min(k, states.size());
   if (take == 0) return false;
@@ -161,8 +161,8 @@ Status RunNRA(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     if (!live) {
       // Streams drained: every candidate is complete; rank them directly.
       TopKCollector collector(k);
-      for (Candidate& c : pool) {
-        collector.Offer(c.id, bounds.Exact(c));
+      for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+        collector.Offer(pool.id(slot), bounds.Exact(pool, slot));
       }
       *out = collector.Take();
       return Status::OK();

@@ -41,10 +41,10 @@ Status RunStreamCombine(SourceSet* sources, const ScoringFunction& scoring,
     for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources->last_seen(i);
     std::vector<RankedState> states;
     states.reserve(pool.size());
-    for (Candidate& c : pool) {
-      states.push_back(RankedState{c.id, bounds.Lower(c),
-                                   bounds.Upper(c, ceilings),
-                                   c.evaluated_mask});
+    for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+      states.push_back(RankedState{pool.id(slot), bounds.Lower(pool, slot),
+                                   bounds.Upper(pool, slot, ceilings),
+                                   pool.mask(slot)});
     }
     const size_t take = std::min(k, states.size());
     std::partial_sort(states.begin(), states.begin() + take, states.end(),
@@ -121,7 +121,9 @@ Status RunStreamCombine(SourceSet* sources, const ScoringFunction& scoring,
     if (pick == m) {
       // Streams drained: every candidate is complete.
       TopKCollector collector(k);
-      for (Candidate& c : pool) collector.Offer(c.id, bounds.Exact(c));
+      for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+        collector.Offer(pool.id(slot), bounds.Exact(pool, slot));
+      }
       *out = collector.Take();
       return Status::OK();
     }
@@ -140,8 +142,8 @@ Status RunStreamCombine(SourceSet* sources, const ScoringFunction& scoring,
     }
     const std::optional<SortedHit> hit = sources->SortedAccess(pick);
     NC_CHECK(hit.has_value());
-    Candidate& c = pool.GetOrCreate(hit->object);
-    if (!c.IsEvaluated(pick)) c.SetScore(pick, hit->score);
+    const uint32_t slot = pool.GetOrCreate(hit->object);
+    if (!pool.IsEvaluated(slot, pick)) pool.SetScore(slot, pick, hit->score);
     std::deque<Score>& h = history[pick];
     h.push_back(sources->last_seen(pick));
     if (h.size() > lookback + 1) h.pop_front();

@@ -28,10 +28,11 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   const bool discovery = sources->cost_model().any_sorted();
   CandidatePool pool(m);
   BoundEvaluator bounds(&scoring);
-  std::vector<Score> ceilings(m, kMaxScore);
+  std::vector<Score> ceilings(m);
   const auto refresh_ceilings = [&] {
     for (PredicateId i = 0; i < m; ++i) ceilings[i] = sources->last_seen(i);
   };
+  refresh_ceilings();
 
   LazyBoundHeap heap;
   const Score initial = scoring.Evaluate(std::vector<Score>(m, kMaxScore));
@@ -39,24 +40,21 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
     heap.Push(kUnseenObject, initial);
   } else {
     for (ObjectId u = 0; u < n; ++u) {
-      pool.GetOrCreate(u);
-      heap.Push(u, initial);
+      heap.Push(u, initial, pool.GetOrCreate(u));
     }
   }
 
-  const auto bound_fn = [&](ObjectId u) -> std::optional<Score> {
-    refresh_ceilings();
-    if (u == kUnseenObject) {
+  // Only a sorted access lowers the ceilings; they are refreshed after
+  // each one, so bound evaluations read them as is.
+  const auto bound_fn =
+      [&](const LazyBoundHeap::Entry& e) -> std::optional<Score> {
+    if (e.object == kUnseenObject) {
       if (pool.size() >= n) return std::nullopt;
       return scoring.Evaluate(ceilings);
     }
-    const Candidate* c = pool.Find(u);
-    NC_CHECK(c != nullptr);
-    if (c->IsComplete(m)) return bounds.Exact(*c);
-    return bounds.Upper(*c, ceilings);
+    return bounds.Current(pool, e.slot, ceilings);
   };
   const auto emit_certified = [&](TerminationReason reason) {
-    refresh_ceilings();
     std::vector<CertifiedRow> rows;
     PoolCertifiedRows(pool, bounds, ceilings, &rows);
     const Score unseen = (discovery && pool.size() < n)
@@ -67,8 +65,8 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
   };
 
   PredicateId rr_sorted = 0;
-  const auto is_complete = [&](ObjectId u) {
-    return u != kUnseenObject && pool.Find(u)->IsComplete(m);
+  const auto is_complete = [&](const LazyBoundHeap::Entry& e) {
+    return e.object != kUnseenObject && pool.IsComplete(e.slot);
   };
   while (true) {
     const std::optional<LazyBoundHeap::Entry> unsatisfied =
@@ -93,23 +91,22 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
         }
         const std::optional<SortedHit> hit = sources->SortedAccess(i);
         NC_CHECK(hit.has_value());
+        refresh_ceilings();
         bool created = false;
-        Candidate& c = pool.GetOrCreate(hit->object, &created);
-        if (!c.IsEvaluated(i)) c.SetScore(i, hit->score);
+        const uint32_t slot = pool.GetOrCreate(hit->object, &created);
+        if (!pool.IsEvaluated(slot, i)) pool.SetScore(slot, i, hit->score);
         if (created) {
-          refresh_ceilings();
-          heap.Push(c.id, bounds.Upper(c, ceilings));
+          heap.Push(hit->object, bounds.Upper(pool, slot, ceilings), slot);
         }
         break;
       }
     } else {
       // Probe the predicate with the best expected bound-drop per cost.
-      Candidate* c = pool.Find(target);
-      refresh_ceilings();
+      const uint32_t slot = unsatisfied->slot;
       PredicateId best = m;
       double best_rate = -1.0;
       for (PredicateId i = 0; i < m; ++i) {
-        if (c->IsEvaluated(i)) continue;
+        if (pool.IsEvaluated(slot, i)) continue;
         const double cost = sources->cost_model().random_cost[i];
         const double drop = ceilings[i] - expected[i];
         const double rate = cost > 0.0 ? drop / cost : drop * 1e12;
@@ -122,7 +119,7 @@ Status RunUpper(SourceSet* sources, const ScoringFunction& scoring, size_t k,
       if (BudgetBarred(*sources, best)) {
         return emit_certified(BudgetBarReason(sources, best));
       }
-      c->SetScore(best, sources->RandomAccess(best, c->id));
+      pool.SetScore(slot, best, sources->RandomAccess(best, target));
     }
     heap.Restore();
   }

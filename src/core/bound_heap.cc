@@ -1,24 +1,43 @@
 #include "core/bound_heap.h"
 
-#include <algorithm>
-
-#include "common/check.h"
-#include "core/rank_order.h"
-
 namespace nc {
 
-bool LazyBoundHeap::Before(const Entry& a, const Entry& b) {
-  // "Less" for a max-heap: true when a ranks strictly below b, under the
-  // library-wide rank order (core/rank_order.h).
-  return RanksAbove(b.bound, b.object, a.bound, a.object);
-}
-
 void LazyBoundHeap::HeapPush(const Entry& e) {
+  size_t i = heap_.size();
   heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), Before);
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!Above(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
 }
 
-void LazyBoundHeap::Push(ObjectId object, Score bound) {
+size_t LazyBoundHeap::SiftDown(size_t i) {
+  const size_t n = heap_.size();
+  Entry* const h = heap_.data();
+  const Entry e = h[i];
+  while (true) {
+    size_t child = 2 * i + 1;
+    if (child >= n) break;
+    // Branch-free pick of the higher child (see RanksAbove).
+    if (child + 1 < n) child += Above(h[child + 1], h[child]) ? 1 : 0;
+    if (!Above(h[child], e)) break;
+    h[i] = h[child];
+    i = child;
+  }
+  h[i] = e;
+  return i;
+}
+
+void LazyBoundHeap::PopRoot() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0);
+}
+
+void LazyBoundHeap::Push(ObjectId object, Score bound, uint32_t slot) {
   Restore();
   if (num_settled_ > 0) {
     const Entry& last = verified_[num_settled_ - 1];
@@ -31,60 +50,20 @@ void LazyBoundHeap::Push(ObjectId object, Score bound) {
       num_settled_ = 0;
     }
   }
-  HeapPush(Entry{bound, object});
-}
-
-bool LazyBoundHeap::VerifyNext(const BoundFn& bound_fn) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Before);
-    Entry top = heap_.back();
-    heap_.pop_back();
-    const std::optional<Score> current = bound_fn(top.object);
-    if (!current.has_value()) continue;  // Entry retired.
-    NC_DCHECK(*current <= top.bound);
-    if (*current < top.bound) {
-      // Stale: refresh and keep searching.
-      top.bound = *current;
-      HeapPush(top);
-      continue;
-    }
-    verified_.push_back(top);
-    return true;
-  }
-  return false;
-}
-
-std::optional<LazyBoundHeap::Entry> LazyBoundHeap::PopUnsettled(
-    size_t k, const BoundFn& bound_fn, const FinalFn& is_final) {
-  while (num_settled_ < k) {
-    if (num_settled_ == verified_.size() && !VerifyNext(bound_fn)) {
-      return std::nullopt;
-    }
-    const Entry& next = verified_[num_settled_];
-    if (!is_final(next.object)) return next;
-    ++num_settled_;
-  }
-  return std::nullopt;
-}
-
-std::span<const LazyBoundHeap::Entry> LazyBoundHeap::Verified(
-    size_t count, const BoundFn& bound_fn) {
-  while (verified_.size() < count && VerifyNext(bound_fn)) {
-  }
-  return std::span<const Entry>(verified_).first(
-      std::min(count, verified_.size()));
+  HeapPush(Entry{bound, object, slot});
 }
 
 void LazyBoundHeap::Restore() {
-  for (size_t i = num_settled_; i < verified_.size(); ++i) {
-    HeapPush(verified_[i]);
-  }
+  // A held root is verified_.back(), already in place in heap_.
+  const size_t end = verified_.size() - (root_held_ ? 1 : 0);
+  root_held_ = false;
+  for (size_t i = num_settled_; i < end; ++i) HeapPush(verified_[i]);
   verified_.resize(num_settled_);
 }
 
 std::vector<LazyBoundHeap::Entry> LazyBoundHeap::entries() const {
   std::vector<Entry> all = verified_;
-  all.insert(all.end(), heap_.begin(), heap_.end());
+  all.insert(all.end(), heap_.begin() + (root_held_ ? 1 : 0), heap_.end());
   return all;
 }
 

@@ -2,53 +2,26 @@
 
 namespace nc {
 
-Candidate& CandidatePool::GetOrCreate(ObjectId u, bool* created) {
-  auto [it, inserted] = index_.try_emplace(u, candidates_.size());
+CandidatePool::CandidatePool(size_t num_predicates)
+    : num_predicates_(num_predicates),
+      full_mask_(num_predicates == 64 ? ~uint64_t{0}
+                                      : (uint64_t{1} << num_predicates) - 1) {
+  NC_CHECK(num_predicates_ > 0 && num_predicates_ <= 64);
+}
+
+uint32_t CandidatePool::GetOrCreate(ObjectId u, bool* created) {
+  NC_CHECK(u != kUnseenObject);
+  if (u >= index_.size()) index_.resize(size_t{u} + 1, kNoSlot);
+  const bool inserted = index_[u] == kNoSlot;
   if (inserted) {
-    candidates_.emplace_back();
-    Candidate& c = candidates_.back();
-    c.id = u;
-    c.scores.resize(num_predicates_, 0.0);
+    NC_CHECK(ids_.size() < kNoSlot);
+    index_[u] = static_cast<uint32_t>(ids_.size());
+    ids_.push_back(u);
+    masks_.push_back(0);
+    scores_.resize(scores_.size() + num_predicates_, 0.0);
   }
   if (created != nullptr) *created = inserted;
-  return candidates_[it->second];
-}
-
-Candidate* CandidatePool::Find(ObjectId u) {
-  auto it = index_.find(u);
-  if (it == index_.end()) return nullptr;
-  return &candidates_[it->second];
-}
-
-const Candidate* CandidatePool::Find(ObjectId u) const {
-  auto it = index_.find(u);
-  if (it == index_.end()) return nullptr;
-  return &candidates_[it->second];
-}
-
-Score BoundEvaluator::Upper(const Candidate& c,
-                            std::span<const Score> ceilings) {
-  NC_DCHECK(ceilings.size() == scratch_.size());
-  NC_DCHECK(c.scores.size() == scratch_.size());
-  for (size_t i = 0; i < scratch_.size(); ++i) {
-    scratch_[i] = c.IsEvaluated(static_cast<PredicateId>(i)) ? c.scores[i]
-                                                             : ceilings[i];
-  }
-  return scoring_->Evaluate(scratch_);
-}
-
-Score BoundEvaluator::Lower(const Candidate& c) {
-  NC_DCHECK(c.scores.size() == scratch_.size());
-  for (size_t i = 0; i < scratch_.size(); ++i) {
-    scratch_[i] =
-        c.IsEvaluated(static_cast<PredicateId>(i)) ? c.scores[i] : kMinScore;
-  }
-  return scoring_->Evaluate(scratch_);
-}
-
-Score BoundEvaluator::Exact(const Candidate& c) {
-  NC_DCHECK(c.IsComplete(scratch_.size()));
-  return scoring_->Evaluate(c.scores);
+  return index_[u];
 }
 
 }  // namespace nc

@@ -1,6 +1,8 @@
 #include "core/checkpoint.h"
 
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,30 @@ void ReadPairs(RecordCursor* c, std::vector<std::pair<A, B>>* out) {
     const A a = c->UIntAs<A>();
     out->emplace_back(a, c->UIntAs<B>());
   }
+}
+
+// An RNG stream state (Rng::SerializeState): empty when the stream is
+// absent, else std::mt19937_64's state words and its position index, in
+// plain decimal. Read word by word, so a corrupt state is refused here,
+// with its line, and not later by Resume.
+std::string ReadRngState(RecordReader* r, std::string_view key) {
+  constexpr size_t kStateWords = std::mt19937_64::state_size;
+  RecordCursor& c = r->Field(key);
+  std::string state;
+  size_t words = 0;
+  while (c.ok() && !c.Done() && words <= kStateWords) {
+    const uint64_t word = c.UInt();
+    // The last word is the position index, at most the state size.
+    if (words == kStateWords && word > kStateWords) c.Fail();
+    if (words > 0) state += ' ';
+    state += std::to_string(word);
+    ++words;
+  }
+  if (c.ok() && words != 0 && words != kStateWords + 1) {
+    r->Reject("RNG state must have " + std::to_string(kStateWords + 1) +
+              " words");
+  }
+  return state;
 }
 
 }  // namespace
@@ -175,10 +201,10 @@ Status ParseCheckpoint(const std::string& text, EngineCheckpoint* out) {
   r.Field("src_breaker_consecutive").UInts(&src.breaker_consecutive);
   r.Field("src_breaker_open").Flags(&src.breaker_open);
   r.Field("src_breaker_open_until").Doubles(&src.breaker_open_until);
-  src.latency_rng_state = r.Field("src_latency_rng").Rest();
-  src.retry_rng_state = r.Field("src_retry_rng").Rest();
+  src.latency_rng_state = ReadRngState(&r, "src_latency_rng");
+  src.retry_rng_state = ReadRngState(&r, "src_retry_rng");
   src.has_injector = r.Field("src_has_injector").Flag();
-  src.injector_rng_state = r.Field("src_injector_rng").Rest();
+  src.injector_rng_state = ReadRngState(&r, "src_injector_rng");
   ReadPairs(&r.Field("src_injector_attempts"), &src.injector_attempts);
   ReadPairs(&r.Field("src_injector_scripts"), &src.injector_script_pos);
   src.trace_enabled = r.Field("src_trace_enabled").Flag();
@@ -208,7 +234,7 @@ Status ParseCheckpoint(const std::string& text, EngineCheckpoint* out) {
 
   ReplicaFleetState& fleet = src.fleet_state;
   src.has_fleet = r.Field("src_has_fleet").Flag();
-  fleet.latency_rng_state = r.Field("fleet_latency_rng").Rest();
+  fleet.latency_rng_state = ReadRngState(&r, "fleet_latency_rng");
   ReadPairs(&r.Field("fleet_rr_cursors"), &fleet.rr_cursors);
   fleet.slots.resize(static_cast<size_t>(r.CountField("fleet_slots", 2)));
   for (ReplicaSlotState& slot : fleet.slots) {
@@ -234,7 +260,7 @@ Status ParseCheckpoint(const std::string& text, EngineCheckpoint* out) {
     rt.latency_max = c.Double();
     slot.injector_attempts = c.UInt();
     slot.injector_script_pos = c.UInt();
-    slot.injector_rng_state = r.Field("fleet_slot_rng").Rest();
+    slot.injector_rng_state = ReadRngState(&r, "fleet_slot_rng");
   }
   NC_RETURN_IF_ERROR(r.Finish());
   *out = std::move(ck);

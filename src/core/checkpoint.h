@@ -12,7 +12,9 @@
 // The serialized form is a "ncckpt <version>" document in the shared
 // record grammar of common/record_text.h, with fixed-order `key value`
 // records. Doubles are written as C hexfloats, so every value - including
-// +-inf - round-trips byte-exactly; SerializeCheckpoint and
+// +-inf - round-trips byte-exactly. An RNG stream state is empty or
+// std::mt19937_64's 312 state words and position index in plain
+// decimal; any other word count is refused. SerializeCheckpoint and
 // ParseCheckpoint invert each other exactly, and serializing a parsed
 // checkpoint reproduces the input byte for byte.
 //

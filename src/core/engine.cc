@@ -24,22 +24,22 @@ NCEngine::NCEngine(SourceSet* sources, const ScoringFunction* scoring,
   NC_CHECK(policy_ != nullptr);
 }
 
-std::optional<Score> NCEngine::CurrentBound(ObjectId u) {
-  const size_t m = sources_->num_predicates();
-  if (u == kUnseenObject) {
-    // The sentinel dies once every object has been seen.
-    if (pool_.size() >= sources_->num_objects()) return std::nullopt;
-    for (PredicateId i = 0; i < m; ++i) ceilings_[i] = sources_->last_seen(i);
-    return scoring_->Evaluate(ceilings_);
+void NCEngine::RefreshCeilings() {
+  for (PredicateId i = 0; i < ceilings_.size(); ++i) {
+    ceilings_[i] = sources_->last_seen(i);
   }
-  const Candidate* c = pool_.Find(u);
-  NC_CHECK(c != nullptr);
-  if (c->IsComplete(m)) return bounds_.Exact(*c);
-  for (PredicateId i = 0; i < m; ++i) ceilings_[i] = sources_->last_seen(i);
-  return bounds_.Upper(*c, ceilings_);
 }
 
-void NCEngine::BuildAlternatives(ObjectId target) {
+std::optional<Score> NCEngine::CurrentBound(const LazyBoundHeap::Entry& e) {
+  if (e.object == kUnseenObject) {
+    // The sentinel dies once every object has been seen.
+    if (pool_.size() >= sources_->num_objects()) return std::nullopt;
+    return scoring_->Evaluate(ceilings_);
+  }
+  return bounds_.Current(pool_, e.slot, ceilings_);
+}
+
+void NCEngine::BuildAlternatives(ObjectId target, uint32_t target_slot) {
   // Quota-spent predicates are withheld (a hard, permanent bar);
   // breaker-open predicates are NOT - their fast-fails are transient,
   // unbilled, and bounded by the consecutive-failure guard.
@@ -59,10 +59,8 @@ void NCEngine::BuildAlternatives(ObjectId target) {
     }
     return;
   }
-  const Candidate* c = pool_.Find(target);
-  NC_CHECK(c != nullptr);
   for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
+    if (pool_.IsEvaluated(target_slot, i)) continue;
     if (sources_->has_sorted(i) && !sources_->exhausted(i)) {
       if (sources_->quota_exhausted(i)) {
         skipped_quota_ = true;
@@ -72,7 +70,7 @@ void NCEngine::BuildAlternatives(ObjectId target) {
     }
   }
   for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
+    if (pool_.IsEvaluated(target_slot, i)) continue;
     if (sources_->has_random(i)) {
       if (sources_->quota_exhausted(i)) {
         skipped_quota_ = true;
@@ -88,39 +86,37 @@ Status NCEngine::Perform(const Access& access) {
     std::optional<SortedHit> hit;
     NC_RETURN_IF_ERROR(sources_->TrySortedAccess(access.predicate, &hit));
     NC_CHECK(hit.has_value());  // Alternatives exclude exhausted streams.
+    RefreshCeilings();  // The only event that lowers a ceiling.
     bool created = false;
-    Candidate& c = pool_.GetOrCreate(hit->object, &created);
-    const bool was_complete = c.IsComplete(sources_->num_predicates());
-    if (!c.IsEvaluated(access.predicate)) {
-      c.SetScore(access.predicate, hit->score);
+    const uint32_t slot = pool_.GetOrCreate(hit->object, &created);
+    const bool was_complete = pool_.IsComplete(slot);
+    if (!pool_.IsEvaluated(slot, access.predicate)) {
+      pool_.SetScore(slot, access.predicate, hit->score);
     }
     // Multi-attribute sources deliver the whole row.
     for (const auto& [predicate, score] : hit->bundled) {
-      if (!c.IsEvaluated(predicate)) c.SetScore(predicate, score);
+      if (!pool_.IsEvaluated(slot, predicate)) {
+        pool_.SetScore(slot, predicate, score);
+      }
     }
     if (complete_topk_.has_value() && !was_complete &&
-        c.IsComplete(sources_->num_predicates())) {
-      complete_topk_->Offer(c.id, bounds_.Exact(c));
+        pool_.IsComplete(slot)) {
+      complete_topk_->Offer(hit->object, bounds_.Exact(pool_, slot));
     }
     if (created) {
-      const size_t m = sources_->num_predicates();
-      for (PredicateId i = 0; i < m; ++i) {
-        ceilings_[i] = sources_->last_seen(i);
-      }
-      heap_.Push(c.id, bounds_.Upper(c, ceilings_));
+      heap_.Push(hit->object, bounds_.Upper(pool_, slot, ceilings_), slot);
     }
     return Status::OK();
   }
-  Candidate* c = pool_.Find(access.object);
-  NC_CHECK(c != nullptr);  // No wild guesses: the target was seen.
-  NC_CHECK(!c->IsEvaluated(access.predicate));
+  const uint32_t slot = pool_.Find(access.object);
+  NC_CHECK(slot != CandidatePool::kNoSlot);  // No wild guesses.
+  NC_CHECK(!pool_.IsEvaluated(slot, access.predicate));
   Score score = 0.0;
   NC_RETURN_IF_ERROR(
       sources_->TryRandomAccess(access.predicate, access.object, &score));
-  c->SetScore(access.predicate, score);
-  if (complete_topk_.has_value() &&
-      c->IsComplete(sources_->num_predicates())) {
-    complete_topk_->Offer(c->id, bounds_.Exact(*c));
+  pool_.SetScore(slot, access.predicate, score);
+  if (complete_topk_.has_value() && pool_.IsComplete(slot)) {
+    complete_topk_->Offer(access.object, bounds_.Exact(pool_, slot));
   }
   return Status::OK();
 }
@@ -135,7 +131,11 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
   // bound dominates every entry still in the heap, so the excluded
   // ceiling is sound without a global rescan. (The sentinel stands for no concrete object; it is
   // folded into the excluded ceiling, not returned.)
-  const auto bound_fn = [this](ObjectId u) { return CurrentBound(u); };
+  const auto bound_fn = [this](const LazyBoundHeap::Entry& e) {
+    return CurrentBound(e);
+  };
+  // An access since the last pop may have moved bounds; re-verify.
+  heap_.Restore();
   out->entries.clear();
   AnytimeCertificate cert;
   cert.reason = reason;
@@ -146,9 +146,7 @@ void NCEngine::EmitCertified(TerminationReason reason, TopKResult* out) {
       cert.excluded_ceiling = std::max(cert.excluded_ceiling, e.bound);
       continue;
     }
-    const Candidate* c = pool_.Find(e.object);
-    NC_CHECK(c != nullptr);
-    const Score lower = bounds_.Lower(*c);
+    const Score lower = bounds_.Lower(pool_, e.slot);
     out->entries.push_back(TopKEntry{e.object, e.bound});
     cert.intervals.push_back(ScoreInterval{lower, e.bound});
     min_lower = std::min(min_lower, lower);
@@ -212,8 +210,7 @@ Status NCEngine::Run(TopKResult* out) {
   const Score initial_bound = scoring_->Evaluate(all_ones);
   if (universe_seeded_) {
     for (ObjectId u = 0; u < n; ++u) {
-      pool_.GetOrCreate(u);
-      heap_.Push(u, initial_bound);
+      heap_.Push(u, initial_bound, pool_.GetOrCreate(u));
     }
   } else if (n > 0) {
     heap_.Push(kUnseenObject, initial_bound);
@@ -247,9 +244,10 @@ Status NCEngine::Extend(size_t new_k, TopKResult* out) {
     // The theta collector's capacity is k: rebuild it at the new width
     // from the already-complete candidates.
     complete_topk_.emplace(new_k);
-    const size_t m = sources_->num_predicates();
-    for (Candidate& c : pool_) {
-      if (c.IsComplete(m)) complete_topk_->Offer(c.id, bounds_.Exact(c));
+    for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
+      if (pool_.IsComplete(slot)) {
+        complete_topk_->Offer(pool_.id(slot), bounds_.Exact(pool_, slot));
+      }
     }
   }
   return InstrumentedLoop("extend", out);
@@ -272,12 +270,14 @@ EngineCheckpoint NCEngine::Checkpoint() const {
     ck.complete_topk = complete_topk_->Take().entries;
   }
   ck.pool.reserve(pool_.size());
-  for (const Candidate& c : pool_) {
+  for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
     CandidateCheckpoint cand;
-    cand.object = c.id;
-    cand.mask = c.evaluated_mask;
+    cand.object = pool_.id(slot);
+    cand.mask = pool_.mask(slot);
     for (PredicateId i = 0; i < m; ++i) {
-      if (c.IsEvaluated(i)) cand.scores.push_back(c.scores[i]);
+      if (pool_.IsEvaluated(slot, i)) {
+        cand.scores.push_back(pool_.scores(slot)[i]);
+      }
     }
     ck.pool.push_back(std::move(cand));
   }
@@ -332,7 +332,7 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
           "checkpoint candidate mask names unknown predicates");
     }
     bool created = false;
-    Candidate& c = pool_.GetOrCreate(cand.object, &created);
+    const uint32_t slot = pool_.GetOrCreate(cand.object, &created);
     if (!created) {
       return Status::InvalidArgument("duplicate checkpoint candidate");
     }
@@ -343,7 +343,7 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
         return Status::InvalidArgument(
             "checkpoint candidate score count mismatch");
       }
-      c.SetScore(i, cand.scores[next_score++]);
+      pool_.SetScore(slot, i, cand.scores[next_score++]);
     }
     if (next_score != cand.scores.size()) {
       return Status::InvalidArgument(
@@ -354,16 +354,18 @@ Status NCEngine::Resume(const EngineCheckpoint& ck, TopKResult* out) {
   // in checkpoint order replays the original pop sequences exactly.
   heap_ = LazyBoundHeap();
   for (const LazyBoundHeap::Entry& e : ck.heap) {
+    uint32_t slot = CandidatePool::kNoSlot;
     if (e.object != kUnseenObject) {
       if (e.object >= n) {
         return Status::InvalidArgument("checkpoint heap entry out of range");
       }
-      if (pool_.Find(e.object) == nullptr) {
+      slot = pool_.Find(e.object);
+      if (slot == CandidatePool::kNoSlot) {
         return Status::InvalidArgument(
             "checkpoint heap entry names an unseen candidate");
       }
     }
-    heap_.Push(e.object, e.bound);
+    heap_.Push(e.object, e.bound, slot);
   }
   complete_topk_.reset();
   if (ck.has_complete_topk) {
@@ -423,9 +425,11 @@ Status NCEngine::InstrumentedLoop(const char* phase, TopKResult* out) {
 Status NCEngine::Loop(TopKResult* out) {
   const size_t m = sources_->num_predicates();
   const size_t n = sources_->num_objects();
-  const auto bound_fn = [this](ObjectId u) { return CurrentBound(u); };
-  const auto is_final = [this, m](ObjectId u) {
-    return u != kUnseenObject && pool_.Find(u)->IsComplete(m);
+  const auto bound_fn = [this](const LazyBoundHeap::Entry& e) {
+    return CurrentBound(e);
+  };
+  const auto is_final = [this](const LazyBoundHeap::Entry& e) {
+    return e.object != kUnseenObject && pool_.IsComplete(e.slot);
   };
   // Every useful execution performs at most n sorted and n random accesses
   // per predicate; anything beyond signals an engine/policy bug.
@@ -445,14 +449,19 @@ Status NCEngine::Loop(TopKResult* out) {
           : &options_.metrics->histogram("nc_engine_choice_width",
                                          {1, 2, 4, 8, 16, 32},
                                          {{"algorithm", "NC"}});
+  // From here on Perform keeps the ceilings current.
+  RefreshCeilings();
 
   while (true) {
     // Theorem 1: the first incomplete member of K_P (rank order)
     // designates an unsatisfied task; if none exists, K_P is the answer.
     // Complete members ahead of it stay settled across iterations.
+    // The last iteration's access may have moved any bound, so its
+    // held-out entries go back first (one heap scope per iteration).
     std::optional<LazyBoundHeap::Entry> unsatisfied;
     {
       NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
+      heap_.Restore();
       unsatisfied = heap_.PopUnsettled(options_.k, bound_fn, is_final);
     }
     if (!unsatisfied.has_value()) {
@@ -465,6 +474,7 @@ Status NCEngine::Loop(TopKResult* out) {
       return Status::OK();
     }
     const ObjectId target = unsatisfied->object;
+    const uint32_t target_slot = unsatisfied->slot;
 
     // The theta test and the trace look at the whole verified top-k.
     const bool theta_ready =
@@ -522,8 +532,6 @@ Status NCEngine::Loop(TopKResult* out) {
     // Budget exhaustion certifies the current answer instead of failing.
     // The exact- and theta-termination tests above run first, so a query
     // whose answer is already proven keeps it even at the budget edge.
-    // No bound has moved since the pop, so the certificate extends the
-    // verified prefix as it stands.
     if (sources_->budget_exhausted()) {
       EmitCertified(sources_->cost_budget_exhausted()
                         ? TerminationReason::kCostBudget
@@ -532,7 +540,7 @@ Status NCEngine::Loop(TopKResult* out) {
       return Status::OK();
     }
 
-    BuildAlternatives(target);
+    BuildAlternatives(target, target_slot);
     if (alternatives_.empty()) {
       if (skipped_quota_) {
         // Every remaining choice for the task needs a quota-spent
@@ -558,7 +566,6 @@ Status NCEngine::Loop(TopKResult* out) {
     view.scoring = scoring_;
     view.k = options_.k;
     view.target = target;
-    view.target_state = target == kUnseenObject ? nullptr : pool_.Find(target);
 
     const Access access = policy_->Select(alternatives_, view);
     const bool offered =
@@ -567,10 +574,6 @@ Status NCEngine::Loop(TopKResult* out) {
     NC_CHECK(offered);  // Policies must pick among the necessary choices.
 
     const Status performed = Perform(access);
-    {
-      NC_PROFILE_SCOPE(options_.profiler, kCandidateHeap);
-      heap_.Restore();
-    }
     if (performed.code() == StatusCode::kResourceExhausted) {
       // The access layer refused to start the access: the budget or a
       // quota ran out under the engine (defensive - the loop-top check
@@ -604,9 +607,6 @@ Status NCEngine::Loop(TopKResult* out) {
       width_hist->Observe(static_cast<double>(alternatives_.size()));
     }
     if (tracing) {
-      for (PredicateId i = 0; i < m; ++i) {
-        ceilings_[i] = sources_->last_seen(i);
-      }
       options_.tracer->RecordIteration(
           target, static_cast<uint32_t>(alternatives_.size()),
           scoring_->Evaluate(ceilings_), kth_bound, heap_.size(),

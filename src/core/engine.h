@@ -55,8 +55,6 @@ struct EngineView {
   // The object whose unsatisfied task induced the alternatives;
   // kUnseenObject when it is the virtual unseen object.
   ObjectId target = 0;
-  // Score state of the target (nullptr for the unseen object).
-  const Candidate* target_state = nullptr;
 };
 
 // Access-selection strategy: the one degree of freedom Framework NC leaves
@@ -188,7 +186,8 @@ class NCEngine {
   // counters, policy state, and the SourceSet (cursors, last-seen
   // bounds, accrued cost, injector state, RNG streams). Legal whenever
   // the engine is between iterations - in practice from the
-  // access_callback (the heap is whole there) or after a Run returns.
+  // access_callback or after a Run returns; held-out heap entries are
+  // included.
   EngineCheckpoint Checkpoint() const;
 
   // Continues a checkpointed run on a *freshly configured* engine: same
@@ -240,15 +239,21 @@ class NCEngine {
   // Wraps Loop in a tracer phase span and records run-level metrics.
   Status InstrumentedLoop(const char* phase, TopKResult* out);
 
-  // Returns the current bound of `u` (nullopt retires the unseen sentinel
-  // once everything is seen).
-  std::optional<Score> CurrentBound(ObjectId u);
+  // Copies the sources' last-seen scores into ceilings_. Only a sorted
+  // access lowers them, so Loop calls this once on entry and Perform
+  // after each sorted access; bound evaluations read ceilings_ as is.
+  void RefreshCeilings();
 
-  // Fills `alternatives_` with the necessary choices for `target`
-  // (Definition 2) in deterministic order: sorted accesses by predicate,
-  // then random accesses by predicate. Dead sources offer nothing, so a
-  // mid-run death re-derives the choices automatically.
-  void BuildAlternatives(ObjectId target);
+  // Returns the current bound of a heap entry (nullopt retires the unseen
+  // sentinel once everything is seen).
+  std::optional<Score> CurrentBound(const LazyBoundHeap::Entry& e);
+
+  // Fills `alternatives_` with the necessary choices for `target` (pool
+  // slot `target_slot`; ignored for the sentinel) per Definition 2, in
+  // deterministic order: sorted accesses by predicate, then random
+  // accesses by predicate. Dead sources offer nothing, so a mid-run death
+  // re-derives the choices automatically.
+  void BuildAlternatives(ObjectId target, uint32_t target_slot);
 
   // Performs `access`, updating candidates and the heap. kUnavailable
   // when the access failed unrecoverably (no state was consumed).
@@ -272,6 +277,7 @@ class NCEngine {
   // Best complete candidates so far; drives the theta-halting test.
   // Engaged only when approximation_theta > 1.
   std::optional<TopKCollector> complete_topk_;
+  // The sources' last-seen scores as of the last RefreshCeilings.
   std::vector<Score> ceilings_;
   std::vector<Access> alternatives_;
   size_t accesses_ = 0;

@@ -125,14 +125,12 @@ class ParallelRun {
 };
 
 void ParallelRun::VisibleTopK(std::vector<RankedEntry>* out, size_t extra) {
-  const size_t m = sources_->num_predicates();
   out->clear();
   out->reserve(pool_.size() + 1);
-  for (Candidate& c : pool_) {
-    const bool complete = c.IsComplete(m);
-    const Score bound =
-        complete ? bounds_.Exact(c) : bounds_.Upper(c, visible_ceiling_);
-    out->push_back(RankedEntry{c.id, bound, complete});
+  for (uint32_t slot = 0; slot < pool_.size(); ++slot) {
+    out->push_back(RankedEntry{pool_.id(slot),
+                               bounds_.Current(pool_, slot, visible_ceiling_),
+                               pool_.IsComplete(slot)});
   }
   if (!universe_seeded_ && pool_.size() < sources_->num_objects()) {
     out->push_back(RankedEntry{
@@ -162,10 +160,10 @@ void ParallelRun::BuildAlternatives(ObjectId target,
     }
     return;
   }
-  const Candidate* c = pool_.Find(target);
-  NC_CHECK(c != nullptr);
+  const uint32_t slot = pool_.Find(target);
+  NC_CHECK(slot != CandidatePool::kNoSlot);
   for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
+    if (pool_.IsEvaluated(slot, i)) continue;
     if (sources_->has_sorted(i) && !sources_->exhausted(i)) {
       if (sources_->quota_exhausted(i)) {
         epoch_skipped_quota_ = true;
@@ -175,7 +173,7 @@ void ParallelRun::BuildAlternatives(ObjectId target,
     }
   }
   for (PredicateId i = 0; i < m; ++i) {
-    if (c->IsEvaluated(i)) continue;
+    if (pool_.IsEvaluated(slot, i)) continue;
     if (sources_->has_random(i) &&
         random_in_flight_.find({i, target}) == random_in_flight_.end()) {
       if (sources_->quota_exhausted(i)) {
@@ -235,10 +233,12 @@ void ParallelRun::ApplyNext() {
   issued_this_epoch_.clear();
   const PredicateId i = flight.access.predicate;
   if (flight.access.type == AccessType::kSorted) {
-    Candidate& c = pool_.GetOrCreate(flight.object);
-    if (!c.IsEvaluated(i)) c.SetScore(i, flight.score);
+    const uint32_t slot = pool_.GetOrCreate(flight.object);
+    if (!pool_.IsEvaluated(slot, i)) pool_.SetScore(slot, i, flight.score);
     for (const auto& [predicate, score] : flight.bundled) {
-      if (!c.IsEvaluated(predicate)) c.SetScore(predicate, score);
+      if (!pool_.IsEvaluated(slot, predicate)) {
+        pool_.SetScore(slot, predicate, score);
+      }
     }
     // Sorted results complete out of order under latency jitter, and a
     // deep entry's score is NOT a sound bound while shallower reads are
@@ -265,9 +265,9 @@ void ParallelRun::ApplyNext() {
     }
   } else {
     random_in_flight_.erase({i, flight.object});
-    Candidate* c = pool_.Find(flight.object);
-    NC_CHECK(c != nullptr);
-    if (!c->IsEvaluated(i)) c->SetScore(i, flight.score);
+    const uint32_t slot = pool_.Find(flight.object);
+    NC_CHECK(slot != CandidatePool::kNoSlot);
+    if (!pool_.IsEvaluated(slot, i)) pool_.SetScore(slot, i, flight.score);
   }
 }
 
@@ -298,9 +298,9 @@ void ParallelRun::EmitCertified(TerminationReason reason,
       cert.excluded_ceiling = std::max(cert.excluded_ceiling, e.bound);
       continue;
     }
-    Candidate* c = pool_.Find(e.object);
-    NC_CHECK(c != nullptr);
-    const Score lower = e.complete ? e.bound : bounds_.Lower(*c);
+    const uint32_t slot = pool_.Find(e.object);
+    NC_CHECK(slot != CandidatePool::kNoSlot);
+    const Score lower = e.complete ? e.bound : bounds_.Lower(pool_, slot);
     out->topk.entries.push_back(TopKEntry{e.object, e.bound});
     cert.intervals.push_back(ScoreInterval{lower, e.bound});
     min_lower = std::min(min_lower, lower);
@@ -403,8 +403,6 @@ Status ParallelRun::Execute(ParallelResult* out) {
       view.scoring = &scoring_;
       view.k = options_.k;
       view.target = e.object;
-      view.target_state =
-          e.object == kUnseenObject ? nullptr : pool_.Find(e.object);
       const Access access = policy_->Select(alternatives, view);
       const bool offered =
           std::find(alternatives.begin(), alternatives.end(), access) !=

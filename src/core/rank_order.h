@@ -18,12 +18,17 @@
 
 namespace nc {
 
-// True when (bound_a, a) ranks strictly above (bound_b, b).
+// True when (bound_a, a) ranks strictly above (bound_b, b). Written
+// without branches: the lazy heap's sift loops compare unpredictable
+// pairs, where a mispredicted branch costs more than both terms. Adding 1
+// wraps the sentinel (the largest id) to 0, below every seen object.
 inline bool RanksAbove(Score bound_a, ObjectId a, Score bound_b, ObjectId b) {
-  if (bound_a != bound_b) return bound_a > bound_b;
-  if (a == kUnseenObject) return false;
-  if (b == kUnseenObject) return true;
-  return a > b;
+  static_assert(static_cast<ObjectId>(kUnseenObject + 1) == 0);
+  const ObjectId tie_a = a + 1;
+  const ObjectId tie_b = b + 1;
+  const bool higher = bound_a > bound_b;
+  const bool equal = bound_a == bound_b;
+  return higher | (equal & (tie_a > tie_b));
 }
 
 }  // namespace nc

@@ -25,7 +25,7 @@ namespace {
 // Ranks the current top-k by maximal-possible score (seen objects plus
 // the unseen sentinel); returns true when all of them are complete, in
 // which case `out` receives the answer.
-bool Halted(const SourceSet& sources, CandidatePool& pool,
+bool Halted(const SourceSet& sources, const CandidatePool& pool,
             BoundEvaluator& bounds, bool universe_seeded, size_t k,
             TopKResult* out) {
   const size_t m = sources.num_predicates();
@@ -39,11 +39,10 @@ bool Halted(const SourceSet& sources, CandidatePool& pool,
   };
   std::vector<Ranked> ranked;
   ranked.reserve(pool.size() + 1);
-  for (Candidate& c : pool) {
-    const bool complete = c.IsComplete(m);
-    ranked.push_back(Ranked{
-        c.id, complete ? bounds.Exact(c) : bounds.Upper(c, ceilings),
-        complete});
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+    ranked.push_back(Ranked{pool.id(slot),
+                            bounds.Current(pool, slot, ceilings),
+                            pool.IsComplete(slot)});
   }
   if (!universe_seeded && pool.size() < sources.num_objects()) {
     ranked.push_back(Ranked{kUnseenObject,
@@ -68,7 +67,7 @@ bool Halted(const SourceSet& sources, CandidatePool& pool,
 }
 
 // Every currently legal access: live sorted streams plus useful probes.
-void EnumerateLegalPool(const SourceSet& sources, CandidatePool& pool,
+void EnumerateLegalPool(const SourceSet& sources, const CandidatePool& pool,
                         std::vector<Access>* out) {
   out->clear();
   const size_t m = sources.num_predicates();
@@ -77,10 +76,10 @@ void EnumerateLegalPool(const SourceSet& sources, CandidatePool& pool,
       out->push_back(Access::Sorted(i));
     }
   }
-  for (Candidate& c : pool) {
+  for (uint32_t slot = 0; slot < pool.size(); ++slot) {
     for (PredicateId i = 0; i < m; ++i) {
-      if (!c.IsEvaluated(i) && sources.has_random(i)) {
-        out->push_back(Access::Random(i, c.id));
+      if (!pool.IsEvaluated(slot, i) && sources.has_random(i)) {
+        out->push_back(Access::Random(i, pool.id(slot)));
       }
     }
   }
@@ -140,18 +139,20 @@ Status RunTG(SourceSet* sources, const ScoringFunction& scoring,
       const std::optional<SortedHit> hit =
           sources->SortedAccess(access.predicate);
       NC_CHECK(hit.has_value());
-      Candidate& c = pool.GetOrCreate(hit->object);
-      if (!c.IsEvaluated(access.predicate)) {
-        c.SetScore(access.predicate, hit->score);
+      const uint32_t slot = pool.GetOrCreate(hit->object);
+      if (!pool.IsEvaluated(slot, access.predicate)) {
+        pool.SetScore(slot, access.predicate, hit->score);
       }
       for (const auto& [predicate, score] : hit->bundled) {
-        if (!c.IsEvaluated(predicate)) c.SetScore(predicate, score);
+        if (!pool.IsEvaluated(slot, predicate)) {
+          pool.SetScore(slot, predicate, score);
+        }
       }
     } else {
-      Candidate* c = pool.Find(access.object);
-      NC_CHECK(c != nullptr);
-      c->SetScore(access.predicate,
-                  sources->RandomAccess(access.predicate, access.object));
+      const uint32_t slot = pool.Find(access.object);
+      NC_CHECK(slot != CandidatePool::kNoSlot);
+      pool.SetScore(slot, access.predicate,
+                    sources->RandomAccess(access.predicate, access.object));
     }
     ++accesses;
     if (accesses > runaway_guard) {

@@ -44,8 +44,9 @@ void WriteP2(RecordWriter* w, const P2Quantile& p) {
   for (const double d : st.desired) w->Double(d);
 }
 
-// A latency or marker value. Feeds only ever store finite ones, and the
-// quantile reads sort them, which NaN would make undefined.
+// A latency, marker, cost or cooldown value. Feeds only ever store finite
+// ones: the quantile reads sort them, which NaN would make undefined, and
+// least-latency routing compares the health EWMAs.
 double ReadFinite(RecordCursor* c) {
   const double v = c->Double();
   if (!std::isfinite(v)) c->Fail();
@@ -506,7 +507,7 @@ Status TelemetryHub::Deserialize(const std::string& text) {
           c.Flag() ? AccessType::kRandom : AccessType::kSorted;
       CostEwma cell;
       cell.seeded = true;
-      cell.value = c.Double();
+      cell.value = ReadFinite(&c);
       fresh = cost.emplace(CostKey(i, type), cell).second;
     } else if (kind == "health") {
       const uint64_t key = read_slot(&c);
@@ -515,10 +516,10 @@ Status TelemetryHub::Deserialize(const std::string& text) {
       h.replica = static_cast<size_t>(key & 0xFFFFFFFFu);
       h.dead = c.Flag();
       h.breaker_open = c.Flag();
-      h.cooldown_remaining = c.Double();
+      h.cooldown_remaining = ReadFinite(&c);
       h.breaker_consecutive = c.UInt();
       h.has_ewma = c.Flag();
-      h.ewma_latency = c.Double();
+      h.ewma_latency = ReadFinite(&c);
       fresh = health.emplace(key, h).second;
     } else {
       return r.Fail("unknown record \"" + kind + "\"");

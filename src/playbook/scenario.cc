@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <string_view>
@@ -373,7 +374,15 @@ Status ParseScenario(const std::string& text, ScenarioSpec* out) {
       spec.fault.death_rate = c.Double();
       spec.fault.die_after_attempts = c.UInt();
     } else if (key == "groups") {
-      c.UInts(&spec.attribute_groups);
+      // Source group ids are ints; a wider one would wrap on the cast.
+      spec.attribute_groups.resize(c.Count());
+      for (int& group : spec.attribute_groups) {
+        const uint64_t v = c.UInt();
+        if (v > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+          c.Fail();
+        }
+        group = static_cast<int>(v);
+      }
       if (spec.attribute_groups.empty()) c.Fail();
     } else if (key == "hedge") {
       spec.hedge_delay = c.Double();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/candidate.h"
 #include "core/rank_order.h"
 
 namespace nc {
@@ -13,7 +14,7 @@ namespace {
 
 using Entry = LazyBoundHeap::Entry;
 
-const auto kNeverFinal = [](ObjectId) { return false; };
+const auto kNeverFinal = [](const Entry&) { return false; };
 
 TEST(BoundHeapTest, VerifiedStableBounds) {
   LazyBoundHeap heap;
@@ -21,8 +22,8 @@ TEST(BoundHeapTest, VerifiedStableBounds) {
   heap.Push(1, 0.9);
   heap.Push(2, 0.6);
   std::map<ObjectId, Score> bounds{{0, 0.3}, {1, 0.9}, {2, 0.6}};
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    return bounds.at(u);
+  const auto fn = [&](const Entry& e) -> std::optional<Score> {
+    return bounds.at(e.object);
   };
   const std::span<const Entry> top = heap.Verified(2, fn);
   ASSERT_EQ(top.size(), 2u);
@@ -37,8 +38,8 @@ TEST(BoundHeapTest, RestoreReturnsHeldOutEntries) {
   heap.Push(0, 0.3);
   heap.Push(1, 0.9);
   std::map<ObjectId, Score> bounds{{0, 0.3}, {1, 0.9}};
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    return bounds.at(u);
+  const auto fn = [&](const Entry& e) -> std::optional<Score> {
+    return bounds.at(e.object);
   };
   heap.Verified(2, fn);
   heap.Restore();
@@ -56,8 +57,8 @@ TEST(BoundHeapTest, StaleEntriesRefreshOnPop) {
   heap.Push(0, 0.9);  // Cached high...
   heap.Push(1, 0.5);
   std::map<ObjectId, Score> bounds{{0, 0.2}, {1, 0.5}};  // ...now lower.
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    return bounds.at(u);
+  const auto fn = [&](const Entry& e) -> std::optional<Score> {
+    return bounds.at(e.object);
   };
   const std::span<const Entry> top = heap.Verified(1, fn);
   ASSERT_EQ(top.size(), 1u);
@@ -73,8 +74,8 @@ TEST(BoundHeapTest, RetiredEntriesVanish) {
   LazyBoundHeap heap;
   heap.Push(0, 1.0);
   heap.Push(1, 0.4);
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    if (u == 0) return std::nullopt;  // Retired (the unseen sentinel dies).
+  const auto fn = [&](const Entry& e) -> std::optional<Score> {
+    if (e.object == 0) return std::nullopt;  // Retired (the unseen sentinel dies).
     return 0.4;
   };
   const std::span<const Entry> top = heap.Verified(2, fn);
@@ -88,7 +89,7 @@ TEST(BoundHeapTest, TieBreakByDescendingObjectId) {
   heap.Push(3, 0.5);
   heap.Push(9, 0.5);
   heap.Push(1, 0.5);
-  const auto fn = [](ObjectId) -> std::optional<Score> { return 0.5; };
+  const auto fn = [](const Entry&) -> std::optional<Score> { return 0.5; };
   const std::span<const Entry> top = heap.Verified(3, fn);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].object, 9u);
@@ -102,7 +103,7 @@ TEST(BoundHeapTest, UnseenSentinelRanksBelowSeenTies) {
   LazyBoundHeap heap;
   heap.Push(kUnseenObject, 0.7);
   heap.Push(7, 0.7);
-  const auto fn = [](ObjectId) -> std::optional<Score> { return 0.7; };
+  const auto fn = [](const Entry&) -> std::optional<Score> { return 0.7; };
   const std::span<const Entry> top = heap.Verified(2, fn);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].object, 7u);
@@ -112,7 +113,7 @@ TEST(BoundHeapTest, UnseenSentinelRanksBelowSeenTies) {
 TEST(BoundHeapTest, FewerEntriesThanK) {
   LazyBoundHeap heap;
   heap.Push(0, 0.5);
-  const auto fn = [](ObjectId) -> std::optional<Score> { return 0.5; };
+  const auto fn = [](const Entry&) -> std::optional<Score> { return 0.5; };
   EXPECT_EQ(heap.Verified(5, fn).size(), 1u);
   EXPECT_TRUE(heap.PopUnsettled(5, fn, kNeverFinal).has_value());
 }
@@ -122,10 +123,10 @@ TEST(BoundHeapTest, PopUnsettledSettlesTheFinalPrefix) {
   std::map<ObjectId, Score> bounds{{0, 0.9}, {1, 0.8}, {2, 0.7}, {3, 0.6}};
   std::map<ObjectId, bool> final{{0, true}, {1, false}, {2, true}, {3, true}};
   for (const auto& [u, b] : bounds) heap.Push(u, b);
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    return bounds.at(u);
+  const auto fn = [&](const Entry& e) -> std::optional<Score> {
+    return bounds.at(e.object);
   };
-  const auto is_final = [&](ObjectId u) { return final.at(u); };
+  const auto is_final = [&](const Entry& e) { return final.at(e.object); };
 
   std::optional<Entry> target = heap.PopUnsettled(3, fn, is_final);
   ASSERT_TRUE(target.has_value());
@@ -156,10 +157,12 @@ TEST(BoundHeapTest, TiedPushWithHigherIdUnsettles) {
   std::map<ObjectId, Score> bounds{{3, 0.5}, {kUnseenObject, 0.5}};
   heap.Push(3, 0.5);
   heap.Push(kUnseenObject, 0.5);
-  const auto fn = [&](ObjectId u) -> std::optional<Score> {
-    return bounds.at(u);
+  const auto fn = [&](const Entry& e) -> std::optional<Score> {
+    return bounds.at(e.object);
   };
-  const auto is_final = [](ObjectId u) { return u != kUnseenObject; };
+  const auto is_final = [](const Entry& e) {
+    return e.object != kUnseenObject;
+  };
   std::optional<Entry> target = heap.PopUnsettled(2, fn, is_final);
   ASSERT_TRUE(target.has_value());
   EXPECT_EQ(target->object, kUnseenObject);
@@ -206,12 +209,12 @@ TEST(BoundHeapTest, RandomizedAgainstNaive) {
     push(kUnseenObject, draw());
     ObjectId next_id = static_cast<ObjectId>(n);
 
-    const auto fn = [&](ObjectId u) -> std::optional<Score> {
-      const auto it = current.find(u);
+    const auto fn = [&](const Entry& e) -> std::optional<Score> {
+      const auto it = current.find(e.object);
       if (it == current.end()) return std::nullopt;
       return it->second;
     };
-    const auto is_final = [&](ObjectId u) { return final.at(u); };
+    const auto is_final = [&](const Entry& e) { return final.at(e.object); };
 
     for (int step = 0; step < 40; ++step) {
       // Mutate: decay, finalize (bound frozen at an exact score no
@@ -293,6 +296,154 @@ TEST(BoundHeapTest, RandomizedAgainstNaive) {
       heap.Restore();
     }
   }
+}
+
+// Property test in the engine's own shape: a CandidatePool under F = avg,
+// ceilings that only fall (one predicate per step, as a sorted access
+// does), sorted hits that discover objects in random id order, random
+// probes, and the unseen sentinel retiring once the universe is seen.
+// Every pop is checked against a brute-force rank-order oracle that
+// recomputes every live bound. Scores sit on a 1/8 grid, so exact ties -
+// decided on ObjectId - are common, and a discovery that ties the last
+// settled entry with a higher id must un-settle the prefix.
+TEST(BoundHeapTest, RandomizedCeilingShiftsAgainstOracle) {
+  constexpr size_t kM = 2;
+  AverageFunction avg(kM);
+  Rng rng(2718);
+  size_t unsettles = 0;
+  size_t retirements = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const size_t universe = 1 + rng.UniformInt(30);
+    CandidatePool pool(kM);
+    BoundEvaluator bounds(&avg);
+    std::vector<Score> ceilings(kM, kMaxScore);
+    LazyBoundHeap heap;
+    heap.Push(kUnseenObject, avg.Evaluate(ceilings));
+    std::vector<ObjectId> unseen(universe);
+    for (ObjectId u = 0; u < universe; ++u) unseen[u] = u;
+    rng.Shuffle(&unseen);
+
+    const auto all_seen = [&] { return pool.size() >= universe; };
+    const auto bound_fn = [&](const Entry& e) -> std::optional<Score> {
+      if (e.object == kUnseenObject) {
+        if (all_seen()) return std::nullopt;
+        return avg.Evaluate(ceilings);
+      }
+      return bounds.Current(pool, e.slot, ceilings);
+    };
+    const auto is_final = [&](const Entry& e) {
+      return e.object != kUnseenObject && pool.IsComplete(e.slot);
+    };
+    // A grid score in [0, cap].
+    const auto grid_below = [&](Score cap) {
+      const uint64_t steps = static_cast<uint64_t>(cap * 8.0);
+      return static_cast<Score>(rng.UniformInt(steps + 1)) / 8.0;
+    };
+
+    for (int step = 0; step < 60; ++step) {
+      const size_t mutations = rng.UniformInt(3);
+      for (size_t j = 0; j < mutations; ++j) {
+        const PredicateId i = static_cast<PredicateId>(rng.UniformInt(kM));
+        if (rng.UniformInt(3) != 0) {
+          // Sorted access on predicate i: the ceiling falls to the hit's
+          // score, and the hit is a new object or a seen one not yet
+          // read on this list.
+          std::vector<uint32_t> open;
+          for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+            if (!pool.IsEvaluated(slot, i)) open.push_back(slot);
+          }
+          if (unseen.empty() && open.empty()) continue;
+          ceilings[i] = grid_below(ceilings[i]);
+          const size_t pick = rng.UniformInt(unseen.size() + open.size());
+          if (pick < unseen.size()) {
+            const ObjectId u = unseen[pick];
+            unseen.erase(unseen.begin() + static_cast<ptrdiff_t>(pick));
+            const uint32_t slot = pool.GetOrCreate(u);
+            pool.SetScore(slot, i, ceilings[i]);
+            const bool was_settled = !heap.settled().empty();
+            heap.Push(u, bounds.Upper(pool, slot, ceilings), slot);
+            if (was_settled && heap.settled().empty()) ++unsettles;
+          } else {
+            pool.SetScore(open[pick - unseen.size()], i, ceilings[i]);
+          }
+        } else if (pool.size() > 0) {
+          // Random probe: an exact score no higher than the ceiling it
+          // replaces.
+          const uint32_t slot =
+              static_cast<uint32_t>(rng.UniformInt(pool.size()));
+          if (!pool.IsEvaluated(slot, i)) {
+            pool.SetScore(slot, i, grid_below(ceilings[i]));
+          }
+        }
+      }
+
+      // Oracle: every live bound recomputed, in rank order.
+      std::vector<Entry> order;
+      for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+        order.push_back(
+            Entry{bounds.Current(pool, slot, ceilings), pool.id(slot), slot});
+      }
+      if (!all_seen()) {
+        order.push_back(Entry{avg.Evaluate(ceilings), kUnseenObject});
+      }
+      std::sort(order.begin(), order.end(),
+                [](const Entry& a, const Entry& b) {
+                  return RanksAbove(a.bound, a.object, b.bound, b.object);
+                });
+      const size_t k = 1 + rng.UniformInt(6);
+      size_t expect_settled = 0;
+      std::optional<ObjectId> expect_target;
+      while (expect_settled < std::min(k, order.size())) {
+        if (!is_final(order[expect_settled])) {
+          expect_target = order[expect_settled].object;
+          break;
+        }
+        ++expect_settled;
+      }
+
+      const std::optional<Entry> target =
+          heap.PopUnsettled(k, bound_fn, is_final);
+      ASSERT_EQ(target.has_value(), expect_target.has_value())
+          << "trial " << trial << " step " << step;
+      if (target.has_value()) {
+        EXPECT_EQ(target->object, *expect_target) << "trial " << trial;
+        if (target->object != kUnseenObject) {
+          EXPECT_EQ(pool.id(target->slot), target->object);
+        }
+      }
+      const std::span<const Entry> settled = heap.settled();
+      ASSERT_GE(settled.size(), expect_settled) << "trial " << trial;
+      ASSERT_LE(settled.size(), order.size());
+      for (size_t r = 0; r < settled.size(); ++r) {
+        EXPECT_EQ(settled[r].object, order[r].object) << "trial " << trial;
+        EXPECT_EQ(settled[r].bound, order[r].bound);
+      }
+      const size_t width = 1 + rng.UniformInt(8);
+      const std::span<const Entry> top = heap.Verified(width, bound_fn);
+      ASSERT_EQ(top.size(), std::min(width, order.size()));
+      for (size_t r = 0; r < top.size(); ++r) {
+        EXPECT_EQ(top[r].object, order[r].object) << "trial " << trial;
+        EXPECT_EQ(top[r].bound, order[r].bound);
+      }
+      heap.Restore();
+      // After Restore every live entry is back: one per seen object, and
+      // the sentinel until it retires (a retired one may linger until
+      // popped).
+      std::map<ObjectId, int> seen;
+      for (const Entry& e : heap.entries()) ++seen[e.object];
+      for (uint32_t slot = 0; slot < pool.size(); ++slot) {
+        EXPECT_EQ(seen[pool.id(slot)], 1) << "trial " << trial;
+      }
+      if (!all_seen()) {
+        EXPECT_EQ(seen[kUnseenObject], 1);
+      }
+      if (all_seen() && seen[kUnseenObject] == 0 && step > 0) ++retirements;
+      EXPECT_EQ(heap.size(), heap.entries().size());
+    }
+  }
+  // The sequences above must actually reach the edge cases.
+  EXPECT_GT(unsettles, 0u);
+  EXPECT_GT(retirements, 0u);
 }
 
 }  // namespace

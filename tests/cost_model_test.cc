@@ -58,6 +58,14 @@ TEST(CostModelTest, ValidateRejectsUnreachablePredicate) {
   EXPECT_EQ(model.Validate().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CostModelTest, ValidateRejectsNegativeAttributeGroup) {
+  CostModel model = CostModel::Uniform(3, 1.0, 1.0);
+  model.attribute_groups = {0, 0, 1};
+  EXPECT_TRUE(model.Validate().ok());
+  model.attribute_groups = {0, -1, 1};
+  EXPECT_FALSE(model.Validate().ok());
+}
+
 TEST(CostModelTest, ZeroCostIsLegal) {
   // Q2's scenario: random accesses ride along with sorted hits for free.
   const CostModel model = CostModel::Uniform(3, 1.0, 0.0);

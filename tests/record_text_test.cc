@@ -519,6 +519,101 @@ TEST(RecordTextFuzzTest, KnownBadDocumentsAreRefusedByLine) {
   EXPECT_EQ(two_names.message().rfind("ncplay line 2: ", 0), 0u) << two_names;
 }
 
+// An RNG stream state is read as checked plain-decimal words, so a
+// corrupt one is refused at parse time, on its own line, instead of
+// loading as opaque text and failing later at Resume.
+TEST(RecordTextFuzzTest, CheckpointRngStatesAreCheckedWords) {
+  const Format checkpoint = CheckpointFormat();
+  for (const char* name : {"plain_005.ncckpt", "fleet_001.ncckpt"}) {
+    const std::string ck = ReadFile(kCorpus / "ncckpt" / name);
+    const std::vector<std::string> lines = SplitLines(ck);
+    size_t checked = 0;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      const std::string& line = lines[i];
+      const size_t space = line.find(' ');
+      if (space == std::string::npos) continue;  // Bare key: empty state.
+      const std::string key = line.substr(0, space);
+      if (!key.ends_with("_rng")) continue;
+      const std::string line_no = " line " + std::to_string(i + 1) + ": ";
+      const size_t last_space = line.rfind(' ');
+      std::vector<std::string> bad;
+      // A word that is no plain decimal.
+      bad.push_back(key + " nan" + line.substr(line.find(' ', space + 1)));
+      bad.push_back(key + " -1" + line.substr(line.find(' ', space + 1)));
+      // One word short, one too many.
+      bad.push_back(line.substr(0, last_space));
+      bad.push_back(line + " 7");
+      // A position index past the state.
+      bad.push_back(line.substr(0, last_space) + " 313");
+      for (const std::string& replacement : bad) {
+        std::vector<std::string> edited = lines;
+        edited[i] = replacement;
+        std::string after;
+        const Status status = checkpoint.parse(JoinLines(edited), ck, &after);
+        EXPECT_EQ(status.message().rfind("ncckpt" + line_no, 0), 0u)
+            << name << " " << key << ": " << status;
+        EXPECT_EQ(after, ck);
+      }
+      ++checked;
+    }
+    EXPECT_GE(checked, 2u) << name;
+  }
+}
+
+// Source group ids are ints: one past INT_MAX used to wrap silently on
+// load, and a negative one to serialize as a huge unsigned token.
+TEST(RecordTextFuzzTest, ScenarioGroupsAreRangeChecked) {
+  const Format scenario = ScenarioFormat();
+  std::string doc = kAllRecordsScenario;
+  const std::string groups = "groups 3 0 1 1\n";
+  const size_t at = doc.find(groups);
+  ASSERT_NE(at, std::string::npos);
+  std::string after;
+  for (const char* bad :
+       {"groups 3 4611686018427387904 1 1\n", "groups 3 2147483648 1 1\n",
+        "groups 3 -1 1 1\n"}) {
+    std::string mutated = doc;
+    mutated.replace(at, groups.size(), bad);
+    const Status status =
+        scenario.parse(mutated, kAllRecordsScenario, &after);
+    EXPECT_EQ(status.message().rfind("ncplay line 7: ", 0), 0u)
+        << bad << status;
+    EXPECT_EQ(after, kAllRecordsScenario);
+  }
+  doc.replace(at, groups.size(), "groups 3 2147483647 1 1\n");
+  EXPECT_TRUE(scenario.parse(doc, kAllRecordsScenario, &after).ok());
+  EXPECT_EQ(after, doc);
+
+  playbook::ScenarioSpec spec;
+  ASSERT_TRUE(playbook::ParseScenario(kAllRecordsScenario, &spec).ok());
+  spec.attribute_groups = {0, -1, -1};
+  EXPECT_FALSE(spec.Validate().ok());
+}
+
+// Health and cost EWMAs feed least-latency routing and cost prediction:
+// a non-finite one must not load (hedge samples already could not).
+TEST(RecordTextFuzzTest, HubHealthAndCostMustBeFinite) {
+  const Format hub = HubFormat();
+  std::string after;
+  for (const char* bad : {
+           "nchub 2\nhealth 0 1 0 0 0x0p+0 0 1 nan\nend\n",
+           "nchub 2\nhealth 0 1 0 1 inf 0 1 0x1p+0\nend\n",
+           "nchub 2\nhealth 0 1 0 1 nan 0 0 0x0p+0\nend\n",
+           "nchub 2\ncost 0 1 inf\nend\n",
+           "nchub 2\ncost 1 0 -nan\nend\n",
+       }) {
+    const Status status = hub.parse(bad, FullHedgeRingHub(), &after);
+    EXPECT_EQ(status.message().rfind("nchub line 2: ", 0), 0u)
+        << bad << status;
+    EXPECT_EQ(after, FullHedgeRingHub());
+  }
+  const std::string finite =
+      "nchub 2\nqueries 0\ncost 0 1 0x1.8p+0\n"
+      "health 0 1 0 1 0x1p+1 3 1 0x1p-2\nend\n";
+  EXPECT_TRUE(hub.parse(finite, FullHedgeRingHub(), &after).ok());
+  EXPECT_EQ(after, finite);
+}
+
 // --- Comma-decimal locale ---------------------------------------------------
 
 // Pins the global C locale for one test and restores it on exit (the

@@ -21,7 +21,6 @@ EngineView MakeView(const SourceSet& sources, const ScoringFunction& f) {
   view.scoring = &f;
   view.k = 1;
   view.target = kUnseenObject;
-  view.target_state = nullptr;
   return view;
 }
 
